@@ -179,6 +179,22 @@ def _diagram_checks(report: Report, graph: orthograph.OrthoGraph) -> None:
     )
 
 
+def _symmetry_check(
+    report: Report, catalog: orthograph.Catalog, graph: orthograph.OrthoGraph
+) -> None:
+    symmetry = kscolor.verify_symmetry_reduction(catalog, graph)
+    report.add(
+        "symmetry_reduction",
+        symmetry.passed,
+        pair_rotations=sorted(
+            ({"pair": sorted(pair), "angle": angle}
+             for pair, angle in symmetry.pair_rotations.items()),
+            key=lambda row: row["pair"],
+        ),
+        failures=list(symmetry.failures),
+    )
+
+
 def cmd_verify(args) -> int:
     report = Report("verify", {"set": args.set, "seed": args.seed, "tol": args.tol})
     if args.set == "peres":
@@ -192,6 +208,7 @@ def cmd_verify(args) -> int:
             overlap2=_qroot2_details(witness),
             magnitude_float=math.sqrt(float(witness)),
         )
+        _symmetry_check(report, rays, graph)
     elif args.set == "penrose":
         pairs = cat.penrose_mpairs()
         graph = orthograph.build_graph(pairs, tol=args.tol)
@@ -203,6 +220,7 @@ def cmd_verify(args) -> int:
             overlap2=_qroot2_details(witness),
             magnitude_float=math.sqrt(float(witness)),
         )
+        _symmetry_check(report, pairs, graph)
     else:
         rng = Random(args.seed)
         reference_edges = orthograph.reference_decomposition().edges()

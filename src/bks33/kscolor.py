@@ -17,10 +17,10 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
-from .majorana import MPair
 from .orthograph import (
+    Catalog,
     IndexPermutation,
     OrthoGraph,
     ROTATION_111,
@@ -31,7 +31,6 @@ from .orthograph import (
     induced_permutation,
     is_automorphism,
 )
-from .rays import Ray
 
 
 class Color(Enum):
@@ -348,7 +347,6 @@ class SymmetryReport:
     body_diagonal_cycles_first_triad: bool
     x_rotation_automorphisms: dict[int, bool]
     pair_rotations: dict[frozenset[int], int | None]
-    permutations_agree: bool | None
     failures: tuple[str, ...]
 
     @property
@@ -356,24 +354,13 @@ class SymmetryReport:
         return not self.failures
 
 
-def verify_symmetry_reduction(
-    catalog: Union[Sequence[Ray], Sequence[MPair]],
-    g: OrthoGraph | None = None,
-    reference_catalog: Union[Sequence[Ray], Sequence[MPair], None] = None,
-) -> SymmetryReport:
+def verify_symmetry_reduction(catalog: Catalog, g: OrthoGraph | None = None) -> SymmetryReport:
     """Check the symmetry claims behind the two-choice proof.
 
     Confirms that the body-diagonal rotation is a graph automorphism cycling
     rays 1 -> 2 -> 3 -> 1, and that each alternative second-choice pair maps
     onto (10, 11) under some x-axis rotation that fixes ray 1 and permutes
-    the eight rays forced red by the first choice among themselves.  When a
-    ``reference_catalog`` is given, its induced permutations are compared
-    with the first catalog's elementwise, label by label.  The shared
-    numbering aligns orthogonality graphs, not geometries, so for
-    ``peres_rays()`` against ``penrose_mpairs()`` the body-diagonal and
-    90/270-degree permutations differ and the report has
-    ``permutations_agree=False`` (pinned by
-    ``test_cross_catalog_permutation_comparison_reports_divergence``).
+    the eight rays forced red by the first choice among themselves.
     """
     if g is None:
         g = build_graph(catalog)
@@ -413,22 +400,11 @@ def verify_symmetry_reduction(
         if found is None:
             failures.append(f"no x-axis rotation maps {sorted(pair)} onto (10, 11)")
 
-    permutations_agree: bool | None = None
-    if reference_catalog is not None:
-        ref111 = induced_permutation(ROTATION_111, reference_catalog)
-        agree = ref111 == perm111
-        for angle, rotation in X_AXIS_ROTATIONS.items():
-            agree = agree and induced_permutation(rotation, reference_catalog) == x_perms[angle]
-        permutations_agree = agree
-        if not agree:
-            failures.append("induced permutations differ between the two catalogs")
-
     return SymmetryReport(
         body_diagonal_is_automorphism=body_auto,
         body_diagonal_cycles_first_triad=cycles,
         x_rotation_automorphisms=x_autos,
         pair_rotations=pair_rotations,
-        permutations_agree=permutations_agree,
         failures=tuple(failures),
     )
 

@@ -28,7 +28,7 @@ from random import Random
 from typing import Union
 
 from .rays import Ray, overlap2
-from .scalar import QRoot2, RealScalar
+from .scalar import DEFAULT_TOL, QRoot2, RealScalar
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -74,6 +74,24 @@ class MVector:
         r = math.sqrt(float(self.norm2))
         return (float(self.x) / r, float(self.y) / r, float(self.z) / r)
 
+    def key(self) -> tuple[int, int, int]:
+        """Primitive integer direction; keeps the sign, since M-vectors are
+        directions, not rays.  Exact vectors only."""
+        if not self.is_exact:
+            raise ValueError("only exact M-vectors have a canonical key")
+        v = (self.x, self.y, self.z)
+        d = math.lcm(*(c.denominator for c in v))
+        n = [c.numerator * (d // c.denominator) for c in v]
+        g = math.gcd(*n)
+        return (n[0] // g, n[1] // g, n[2] // g)
+
+    def rotated(self, m: tuple[tuple[int, int, int], ...]) -> MVector:
+        """Image under a signed permutation matrix (an integer rotation)."""
+        v = (self.x, self.y, self.z)
+        return MVector(*(
+            v[j] if row[j] > 0 else -v[j] for row in m for j in range(3) if row[j]
+        ))
+
 
 def unit_dot(a: MVector, b: MVector) -> RealScalar:
     """Dot product of the normalized directions; exact when both vectors are.
@@ -108,6 +126,20 @@ class MPair:
     @property
     def is_exact(self) -> bool:
         return self.first.is_exact and self.second.is_exact
+
+    def key(self) -> tuple[tuple[int, int, int], ...]:
+        """Sorted keys of the two M-vectors: an unordered, exact-only key."""
+        return tuple(sorted((self.first.key(), self.second.key())))
+
+    def rotated(self, m: tuple[tuple[int, int, int], ...]) -> MPair:
+        return MPair(self.first.rotated(m), self.second.rotated(m))
+
+    def orthogonal_to(self, other: MPair, tol: float = DEFAULT_TOL) -> bool:
+        """Exact zero test of the closed form for exact pairs, else < tol^2."""
+        value = overlap2_closed_form(self, other)
+        if self.is_exact and other.is_exact:
+            return value == 0
+        return value < tol * tol
 
 
 @dataclass(frozen=True)

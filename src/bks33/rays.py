@@ -31,6 +31,24 @@ class Ray:
     def to_approx(self) -> Ray:
         return Ray(tuple(to_approx(c) for c in self.components), self.index)
 
+    def key(self) -> tuple[ExactComplex, ExactComplex, ExactComplex]:
+        """Canonical projective form: the ray scaled so its first nonzero
+        component is 1.  Exact rays only."""
+        if not self.is_exact:
+            raise ValueError("only exact rays have a canonical key")
+        lead = next(c for c in self.components if c)
+        return tuple(c / lead for c in self.components)
+
+    def rotated(self, m: tuple[tuple[int, int, int], ...]) -> Ray:
+        """Image under a signed permutation matrix (an integer rotation)."""
+        v = self.components
+        return Ray(tuple(
+            v[j] if row[j] > 0 else -v[j] for row in m for j in range(3) if row[j]
+        ))
+
+    def orthogonal_to(self, other: Ray, tol: float = DEFAULT_TOL) -> bool:
+        return is_orthogonal(self, other, tol)
+
 
 def inner(a: Ray, b: Ray) -> Scalar:
     """Hermitian inner product, conjugate-linear in the FIRST argument.

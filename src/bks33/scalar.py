@@ -80,9 +80,6 @@ class QRoot2:
     def __neg__(self) -> QRoot2:
         return QRoot2(-self.p, -self.q)
 
-    def __pos__(self) -> QRoot2:
-        return self
-
     def __mul__(self, other: object) -> QRoot2:
         o = self._coerce(other)
         if o is None:
@@ -101,12 +98,6 @@ class QRoot2:
         # multiply by the sqrt2-conjugate of the divisor
         num = self * QRoot2(o.p, -o.q)
         return QRoot2(num.p / norm, num.q / norm)
-
-    def __rtruediv__(self, other: object) -> QRoot2:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)
@@ -141,12 +132,6 @@ class QRoot2:
             return NotImplemented
         return (self - o).sign() < 0
 
-    def __le__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
     def __gt__(self, other: object) -> bool:
         o = self._coerce(other)
         if o is None:
@@ -158,9 +143,6 @@ class QRoot2:
         if o is None:
             return NotImplemented
         return (self - o).sign() >= 0
-
-    def __abs__(self) -> QRoot2:
-        return -self if self.sign() < 0 else self
 
     def sqrt(self) -> QRoot2:
         """Exact square root, defined for rational values of the form s^2 or 2*s^2."""
@@ -273,12 +255,6 @@ class ExactComplex:
             return NotImplemented
         return ExactComplex(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other: object) -> ExactComplex:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __neg__(self) -> ExactComplex:
         return ExactComplex(-self.re, -self.im)
 
@@ -302,12 +278,6 @@ class ExactComplex:
             raise ZeroDivisionError("division by zero in Q(sqrt2, i)")
         num = self * o.conjugate()
         return ExactComplex(num.re / d, num.im / d)
-
-    def __rtruediv__(self, other: object) -> ExactComplex:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)
@@ -345,10 +315,6 @@ class ExactComplex:
 
 Scalar = Union[ExactComplex, complex]
 RealScalar = Union[QRoot2, float]
-
-
-def conj(z: Scalar) -> Scalar:
-    return z.conjugate()
 
 
 def abs2(z: Scalar) -> RealScalar:

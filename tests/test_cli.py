@@ -82,6 +82,22 @@ def test_verify_penrose_report(capsys):
     assert witness["details"]["magnitude_float"] == pytest.approx(math.sqrt(6) / 4)
 
 
+@pytest.mark.parametrize("name", ["peres", "penrose"])
+def test_verify_reports_symmetry_reduction(capsys, name):
+    code, out = run(capsys, "verify", "--set", name, "--json")
+    assert code == 0
+    check = {c["name"]: c for c in json.loads(out)["checks"]}["symmetry_reduction"]
+    assert check["passed"] is True
+    assert check["details"] == {
+        "failures": [],
+        "pair_rotations": [
+            {"pair": [10, 12], "angle": 270},
+            {"pair": [11, 13], "angle": 90},
+            {"pair": [12, 13], "angle": 180},
+        ],
+    }
+
+
 def test_verify_family_samples(capsys):
     code, out = run(capsys, "verify", "--set", "family", "--samples", "5",
                     "--seed", "7", "--json")

@@ -17,8 +17,11 @@ from bks33.orthograph import (
     reference_decomposition,
     reference_graph,
 )
+from bks33.majorana import MPair, MVector
 from bks33.rays import Ray
-from bks33.scalar import ExactComplex
+from bks33.scalar import ExactComplex, QRoot2
+
+ROTATIONS = (ROTATION_111, *X_AXIS_ROTATIONS.values())
 
 
 def test_real_graph_has_72_edges_and_reference_decomposition():
@@ -142,6 +145,52 @@ def test_not_closed_rotation_raises():
     broken[1] = Ray(tuple(ExactComplex(v) for v in (1, 1, 1)), index=2)
     with pytest.raises(NotClosedError):
         induced_permutation(ROTATION_111, broken)
+
+
+def test_permutations_ignore_entry_rescaling():
+    # nonzero elements of Z[sqrt2, i]: 1+sqrt2, i, 2-i
+    factors = (ExactComplex(QRoot2(1, 1)), ExactComplex.i(), ExactComplex(2, -1))
+    rays = peres_rays()
+    scaled_rays = [
+        Ray(tuple(factors[i % 3] * c for c in r.components)) for i, r in enumerate(rays)
+    ]
+
+    def scaled(v: MVector, k: int) -> MVector:
+        return MVector(k * v.x, k * v.y, k * v.z)
+
+    pairs = penrose_mpairs()
+    scaled_pairs = [
+        MPair(scaled(p.second, i % 4 + 1), scaled(p.first, i % 5 + 2))
+        for i, p in enumerate(pairs)
+    ]
+    for rotation in ROTATIONS:
+        assert induced_permutation(rotation, scaled_rays) == induced_permutation(rotation, rays)
+        assert induced_permutation(rotation, scaled_pairs) == induced_permutation(rotation, pairs)
+
+
+def test_float_catalogs_have_no_keys():
+    with pytest.raises(ValueError):
+        induced_permutation(ROTATION_111, [r.to_approx() for r in peres_rays()])
+    float_pairs = [
+        MPair(MVector(*map(float, (p.first.x, p.first.y, p.first.z))), p.second)
+        for p in penrose_mpairs()
+    ]
+    with pytest.raises(ValueError):
+        induced_permutation(ROTATION_111, float_pairs)
+
+
+def test_duplicated_entry_raises():
+    rays = peres_rays()
+    with pytest.raises(NotClosedError):
+        induced_permutation(ROTATION_111, rays + [rays[0]])
+    pairs = penrose_mpairs()
+    with pytest.raises(NotClosedError):
+        induced_permutation(ROTATION_111, pairs + [MPair(pairs[21].second, pairs[21].first)])
+
+
+def test_mvector_keys_keep_sign_and_drop_scale():
+    assert MVector(0, -2, -2).key() == MVector(0, -1, -1).key() == (0, -1, -1)
+    assert MVector(0, -2, -2).key() != MVector(0, 1, 1).key()
 
 
 def test_invalid_rotation_matrices_rejected():
