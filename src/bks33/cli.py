@@ -458,15 +458,38 @@ def _delete_ray(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _common_options(tol: float) -> argparse.ArgumentParser:
+    """Options every subcommand takes.  A subcommand with another ``--tol``
+    default gets its own instance: ``set_defaults`` on a subparser rewrites
+    the default of the parent's shared action."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="emit a JSON report")
+    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (printed in the report)")
+    common.add_argument("--tol", type=_positive_float, default=tol,
+                        help=f"floating-point tolerance (default {tol:g})")
+    return common
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bks33",
         description="Verification suite for the 33-ray Kochen-Specker constructions.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (printed in the report)")
-    common.add_argument("--tol", type=float, default=1e-9, help="floating-point tolerance")
+    common = _common_options(1e-9)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catalog", parents=[common], help="dump one of the three catalogs")
@@ -479,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="check a catalog against the reference diagram")
     p.add_argument("--set", choices=("peres", "penrose", "family"), required=True)
-    p.add_argument("--samples", type=int, default=50, help="random family samples")
+    p.add_argument("--samples", type=_positive_int, default=50, help="random family samples")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("prove", parents=[common], help="replay and/or search the non-colorability proof")
@@ -495,10 +518,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delete", type=_delete_ray, default=None, help="delete one ray first")
     p.set_defaults(func=cmd_export_cnf)
 
-    p = sub.add_parser("majorana", parents=[common], help="cross-check the closed-form overlap machinery")
-    p.add_argument("--samples", type=int, default=1000)
+    p = sub.add_parser("majorana", parents=[_common_options(1e-10)],
+                       help="cross-check the closed-form overlap machinery")
+    p.add_argument("--samples", type=_positive_int, default=1000)
     p.set_defaults(func=cmd_majorana)
-    p.set_defaults(tol=1e-10)
 
     return parser
 

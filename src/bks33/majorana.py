@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from random import Random
 from typing import Union
@@ -32,7 +31,7 @@ from .scalar import DEFAULT_TOL, QRoot2, RealScalar
 
 _SQRT2 = math.sqrt(2.0)
 
-RealLike = Union[int, Fraction, float]
+RealLike = Union[int, float]
 
 
 class DegenerateStateError(ValueError):
@@ -43,8 +42,8 @@ class DegenerateStateError(ValueError):
 class MVector:
     """A nonzero direction in R^3, stored unnormalized.
 
-    int/Fraction components keep the vector on the exact path; any float
-    component puts it on the floating path.
+    int components keep the vector on the exact path; any other component
+    puts it on the floating path.
     """
 
     x: RealLike
@@ -52,16 +51,12 @@ class MVector:
     z: RealLike
 
     def __post_init__(self) -> None:
-        for name in ("x", "y", "z"):
-            v = getattr(self, name)
-            if isinstance(v, int):
-                object.__setattr__(self, name, Fraction(v))
         if not (self.x or self.y or self.z):
             raise ValueError("an M-vector must be nonzero")
 
     @property
     def is_exact(self) -> bool:
-        return all(isinstance(v, Fraction) for v in (self.x, self.y, self.z))
+        return isinstance(self.x, int) and isinstance(self.y, int) and isinstance(self.z, int)
 
     @cached_property
     def norm2(self) -> RealLike:
@@ -79,11 +74,8 @@ class MVector:
         directions, not rays.  Exact vectors only."""
         if not self.is_exact:
             raise ValueError("only exact M-vectors have a canonical key")
-        v = (self.x, self.y, self.z)
-        d = math.lcm(*(c.denominator for c in v))
-        n = [c.numerator * (d // c.denominator) for c in v]
-        g = math.gcd(*n)
-        return (n[0] // g, n[1] // g, n[2] // g)
+        g = math.gcd(self.x, self.y, self.z)
+        return (self.x // g, self.y // g, self.z // g)
 
     def rotated(self, m: tuple[tuple[int, int, int], ...]) -> MVector:
         """Image under a signed permutation matrix (an integer rotation)."""
@@ -96,8 +88,8 @@ class MVector:
 def unit_dot(a: MVector, b: MVector) -> RealScalar:
     """Dot product of the normalized directions; exact when both vectors are.
 
-    The exact path requires norm2(a) * norm2(b) to be of the form s^2 or
-    2*s^2 with s rational, which holds for all catalog vectors.
+    The exact path requires the integer norm2(a) * norm2(b) to be of the
+    form s^2 or 2*s^2, which holds for all catalog vectors.
     """
     if a.is_exact and b.is_exact:
         scale = QRoot2(a.norm2 * b.norm2).sqrt()

@@ -16,166 +16,161 @@ RationalLike = Union[int, Fraction]
 
 DEFAULT_TOL = 1e-9
 
-
-def _as_fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+_SQRT2 = math.sqrt(2.0)
+_new = object.__new__
 
 
-def _fraction_sqrt(value: Fraction) -> Fraction | None:
-    if value < 0:
-        return None
-    rn = math.isqrt(value.numerator)
-    rd = math.isqrt(value.denominator)
-    if rn * rn == value.numerator and rd * rd == value.denominator:
-        return Fraction(rn, rd)
-    return None
+def _qroot2(p: int, q: int, den: int) -> QRoot2:
+    """(p + q*sqrt2)/den for ints with den != 0, reduced to the canonical triple."""
+    if den != 1:
+        g = math.gcd(p, q, den)
+        if den < 0:
+            g = -g
+        if g != 1:
+            p, q, den = p // g, q // g, den // g
+    z = _new(QRoot2)
+    z._p, z._q, z._den = p, q, den
+    return z
+
+
+def _lift(value: object) -> QRoot2 | None:
+    if isinstance(value, QRoot2):
+        return value
+    return QRoot2(value) if isinstance(value, (int, Fraction)) else None
 
 
 class QRoot2:
-    """p + q*sqrt(2) with rational p, q; the pair is a unique representation.
+    """(p + q*sqrt2)/den, stored as the integer triple with gcd(p, q, den) = 1
+    and den > 0, which makes the representation unique.
 
     Values are treated as immutable.  Equality, ordering, and the zero test
-    are exact; arithmetic never leaves the field.
+    are exact; arithmetic never leaves the field.  ``int`` and ``Fraction``
+    parts are accepted by the constructor only.  Rational values hash like
+    the equal ``int`` or ``Fraction``.
     """
 
-    __slots__ = ("p", "q")
+    __slots__ = ("_p", "_q", "_den")
 
-    def __init__(self, p: RationalLike = 0, q: RationalLike = 0) -> None:
-        self.p = _as_fraction(p)
-        self.q = _as_fraction(q)
+    def __new__(cls, p: RationalLike = 0, q: RationalLike = 0) -> QRoot2:
+        if type(p) is int and type(q) is int:
+            return _qroot2(p, q, 1)
+        if not (isinstance(p, (int, Fraction)) and isinstance(q, (int, Fraction))):
+            raise TypeError(f"expected int or Fraction parts, got {p!r} and {q!r}")
+        p, q = Fraction(p), Fraction(q)
+        den = math.lcm(p.denominator, q.denominator)
+        return _qroot2(p.numerator * (den // p.denominator), q.numerator * (den // q.denominator), den)
 
     @classmethod
     def sqrt2(cls) -> QRoot2:
-        return cls(0, 1)
-
-    def _coerce(self, other: object) -> QRoot2 | None:
-        if isinstance(other, QRoot2):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QRoot2(other)
-        return None
+        return _qroot2(0, 1, 1)
 
     def __add__(self, other: object) -> QRoot2:
-        o = self._coerce(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
-        return QRoot2(self.p + o.p, self.q + o.q)
+        d, e = self._den, o._den
+        return _qroot2(self._p * e + o._p * d, self._q * e + o._q * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> QRoot2:
-        o = self._coerce(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
-        return QRoot2(self.p - o.p, self.q - o.q)
+        d, e = self._den, o._den
+        return _qroot2(self._p * e - o._p * d, self._q * e - o._q * d, d * e)
 
     def __rsub__(self, other: object) -> QRoot2:
-        o = self._coerce(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __neg__(self) -> QRoot2:
-        return QRoot2(-self.p, -self.q)
+        return _qroot2(-self._p, -self._q, self._den)
 
     def __mul__(self, other: object) -> QRoot2:
-        o = self._coerce(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
-        return QRoot2(self.p * o.p + 2 * self.q * o.q, self.p * o.q + self.q * o.p)
+        a, b, c, e = self._p, self._q, o._p, o._q
+        return _qroot2(a * c + 2 * b * e, a * e + b * c, self._den * o._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> QRoot2:
-        o = self._coerce(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
-        norm = o.p * o.p - 2 * o.q * o.q
+        a, b, c, e, f = self._p, self._q, o._p, o._q, o._den
+        norm = c * c - 2 * e * e
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt2)")
         # multiply by the sqrt2-conjugate of the divisor
-        num = self * QRoot2(o.p, -o.q)
-        return QRoot2(num.p / norm, num.q / norm)
+        return _qroot2((a * c - 2 * b * e) * f, (b * c - a * e) * f, self._den * norm)
 
     def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
-        return self.p == o.p and self.q == o.q
+        return self._p == o._p and self._q == o._q and self._den == o._den
 
     def __hash__(self) -> int:
-        if self.q == 0:
-            return hash(self.p)
-        return hash((self.p, self.q))
+        if self._q:
+            return hash((self._p, self._q, self._den))
+        # equal to the hash of the int or Fraction of the same value
+        return hash(self._p) if self._den == 1 else hash(Fraction(self._p, self._den))
 
     def __bool__(self) -> bool:
-        return bool(self.p) or bool(self.q)
+        return bool(self._p or self._q)
 
     def sign(self) -> int:
-        """Exact sign of the real value p + q*sqrt(2)."""
-        if not self:
-            return 0
-        if self.p >= 0 and self.q >= 0:
-            return 1
-        if self.p <= 0 and self.q <= 0:
+        """Exact sign of the real value (p + q*sqrt(2))/den; den > 0."""
+        p, q = self._p, self._q
+        if p >= 0 and q >= 0:
+            return 1 if p or q else 0
+        if p <= 0 and q <= 0:
             return -1
         # mixed signs: the dominant term decides, p*p never equals 2*q*q here
-        if self.p * self.p > 2 * self.q * self.q:
-            return 1 if self.p > 0 else -1
-        return 1 if self.q > 0 else -1
+        if p * p > 2 * q * q:
+            return 1 if p > 0 else -1
+        return 1 if q > 0 else -1
 
     def __lt__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
+        return (self - other).sign() < 0
 
     def __gt__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
+        return (self - other).sign() > 0
 
     def __ge__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
+        return (self - other).sign() >= 0
 
     def sqrt(self) -> QRoot2:
         """Exact square root, defined for rational values of the form s^2 or 2*s^2."""
         if self.sign() < 0:
             raise ValueError("square root of a negative value")
-        if self.q != 0:
+        if self._q:
             raise ValueError("exact sqrt is only supported for rational values")
-        r = _fraction_sqrt(self.p)
-        if r is not None:
-            return QRoot2(r)
-        r = _fraction_sqrt(self.p / 2)
-        if r is not None:
-            return QRoot2(0, r)
+        n = self._p * self._den  # sqrt(p/den) = sqrt(p*den)/den
+        r = math.isqrt(n)
+        if r * r == n:
+            return _qroot2(r, 0, self._den)
+        r = math.isqrt(n // 2)
+        if 2 * r * r == n:
+            return _qroot2(0, r, self._den)
         raise ValueError(f"{self} has no square root in Q(sqrt2)")
 
     def __float__(self) -> float:
-        return float(self.p) + float(self.q) * math.sqrt(2.0)
-
-    def __str__(self) -> str:
-        return self.canonical_str()
+        return self._p / self._den + self._q / self._den * _SQRT2
 
     def __repr__(self) -> str:
-        return f"QRoot2({self.p}, {self.q})"
+        return f"QRoot2({Fraction(self._p, self._den)}, {Fraction(self._q, self._den)})"
 
     def canonical_str(self) -> str:
         """Canonical form ``(a+b*sqrt2)/d`` with gcd(a, b, d) = 1 and d > 0."""
-        d = math.lcm(self.p.denominator, self.q.denominator)
-        a = int(self.p * d)
-        b = int(self.q * d)
+        a, b, d = self._p, self._q, self._den
         if a == 0 and b == 0:
             return "0"
-        g = math.gcd(math.gcd(abs(a), abs(b)), d)
-        a, b, d = a // g, b // g, d // g
         if b == 0:
             core = str(a)
         elif a == 0:
@@ -187,6 +182,8 @@ class QRoot2:
         if a != 0 and b != 0:
             return f"({core})/{d}"
         return f"{core}/{d}"
+
+    __str__ = canonical_str
 
 
 class ExactComplex:
@@ -228,59 +225,49 @@ class ExactComplex:
         return self.im
 
     def conjugate(self) -> ExactComplex:
-        return ExactComplex(self.re, -self.im)
+        return _exact(self.re, -self.im)
 
     def abs2(self) -> QRoot2:
         """Exact squared magnitude re^2 + im^2."""
         return self.re * self.re + self.im * self.im
 
-    def _coerce(self, other: object) -> ExactComplex | None:
-        if isinstance(other, ExactComplex):
-            return other
-        if isinstance(other, (int, Fraction, QRoot2)):
-            return ExactComplex(other if isinstance(other, QRoot2) else QRoot2(other))
-        return None
-
     def __add__(self, other: object) -> ExactComplex:
-        o = self._coerce(other)
+        o = _lift_complex(other)
         if o is None:
             return NotImplemented
-        return ExactComplex(self.re + o.re, self.im + o.im)
+        return _exact(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> ExactComplex:
-        o = self._coerce(other)
+        o = _lift_complex(other)
         if o is None:
             return NotImplemented
-        return ExactComplex(self.re - o.re, self.im - o.im)
+        return _exact(self.re - o.re, self.im - o.im)
 
     def __neg__(self) -> ExactComplex:
-        return ExactComplex(-self.re, -self.im)
+        return _exact(-self.re, -self.im)
 
     def __mul__(self, other: object) -> ExactComplex:
-        o = self._coerce(other)
+        o = _lift_complex(other)
         if o is None:
             return NotImplemented
-        return ExactComplex(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        return _exact(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> ExactComplex:
-        o = self._coerce(other)
+        o = _lift_complex(other)
         if o is None:
             return NotImplemented
         d = o.abs2()
         if not d:
             raise ZeroDivisionError("division by zero in Q(sqrt2, i)")
         num = self * o.conjugate()
-        return ExactComplex(num.re / d, num.im / d)
+        return _exact(num.re / d, num.im / d)
 
     def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
+        o = _lift_complex(other)
         if o is None:
             return NotImplemented
         return self.re == o.re and self.im == o.im
@@ -298,9 +285,6 @@ class ExactComplex:
 
     __complex__ = to_complex
 
-    def __str__(self) -> str:
-        return self.canonical_str()
-
     def __repr__(self) -> str:
         return f"ExactComplex({self.re!r}, {self.im!r})"
 
@@ -311,6 +295,21 @@ class ExactComplex:
         if not self.re:
             return f"({self.im.canonical_str()})*i"
         return f"({self.re.canonical_str()})+({self.im.canonical_str()})*i"
+
+    __str__ = canonical_str
+
+
+def _exact(re: QRoot2, im: QRoot2) -> ExactComplex:
+    z = _new(ExactComplex)
+    z.re, z.im = re, im
+    return z
+
+
+def _lift_complex(value: object) -> ExactComplex | None:
+    if isinstance(value, ExactComplex):
+        return value
+    part = _lift(value)
+    return None if part is None else _exact(part, _qroot2(0, 0, 1))
 
 
 Scalar = Union[ExactComplex, complex]

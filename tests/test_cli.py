@@ -203,6 +203,29 @@ def test_majorana_report(capsys):
     assert names["recovery_pipeline_33_matches"]["details"]["matched"] == 33
 
 
+# --- arguments --------------------------------------------------------------
+
+def test_default_tol_per_subcommand():
+    # one parser: majorana's own default must not leak into verify's --tol
+    parser = cli.build_parser()
+    assert parser.parse_args(["majorana"]).tol == 1e-10
+    assert parser.parse_args(["verify", "--set", "peres"]).tol == 1e-9
+    assert parser.parse_args(["prove"]).tol == 1e-9
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--set", "family", "--samples", "0"], "--samples: must be at least 1"),
+    (["majorana", "--samples", "0"], "--samples: must be at least 1"),
+    (["verify", "--set", "family", "--tol", "-1"], "--tol: must be positive"),
+    (["majorana", "--tol", "0"], "--tol: must be positive"),
+], ids=["verify-samples-0", "majorana-samples-0", "verify-tol-negative", "majorana-tol-0"])
+def test_vacuous_or_invalid_input_exits_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 # --- report plumbing --------------------------------------------------------
 
 def test_reports_are_deterministic_and_round_trip(capsys):

@@ -154,6 +154,52 @@ def test_unit_dot_exact_path():
     assert unit_dot(MVector(1, 1, 0), MVector(-1, -1, 0)) == -1
 
 
+def test_int_components_stay_exact_ints():
+    v, w = MVector(2, -3, 0), MVector(0, 4, 5)
+    assert all(type(c) is int for c in (v.x, v.y, v.z, v.norm2, v.dot(w)))
+    assert v.is_exact and w.is_exact
+    assert v.rotated(((0, 1, 0), (-1, 0, 0), (0, 0, 1))).is_exact
+    assert not MVector(2.0, -3, 0).is_exact
+
+
+# unit directions with norm2 1 and 2, the two norms of the catalog
+BASE_DIRECTIONS = ((1, 0, 0), (0, -1, 0), (1, 1, 0), (0, 1, -1), (-1, 0, 1))
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_unit_dot_exact_for_scaled_norms(k):
+    # norms k^2 * {1, 2} against norms j^2 * {1, 2}: the product is s^2 or 2*s^2
+    for u in BASE_DIRECTIONS:
+        for v in BASE_DIRECTIONS:
+            base = unit_dot(MVector(*u), MVector(*v))
+            cosine = sum(a * b for a, b in zip(u, v)) / math.sqrt(
+                sum(a * a for a in u) * sum(b * b for b in v))
+            assert float(base) == pytest.approx(cosine, abs=1e-15)
+            for j in range(1, 8):
+                scaled = unit_dot(MVector(*(k * a for a in u)), MVector(*(j * b for b in v)))
+                assert isinstance(scaled, QRoot2) and scaled == base
+
+
+def test_integer_rescaled_catalog_keeps_zero_pattern_and_witness():
+    # the positive integer factors the exact-catalogs benchmark draws from
+    factors = (1, 2, 3, 4, 5, 7)
+
+    def scaled(v: MVector, k: int) -> MVector:
+        return MVector(k * v.x, k * v.y, k * v.z)
+
+    pairs = [
+        MPair(scaled(p.first, factors[i % 6]), scaled(p.second, factors[(5 * i + 2) % 6]))
+        for i, p in enumerate(penrose_mpairs())
+    ]
+    zeros = {
+        (i, j)
+        for (i, a), (j, b) in combinations(enumerate(pairs, start=1), 2)
+        if overlap2_closed_form(a, b) == 0
+    }
+    assert zeros == set(reference_decomposition().edges())
+    assert overlap2_closed_form(pairs[8], pairs[13]).canonical_str() == "3/8"
+
+
 def test_unit_dot_outside_field_raises():
     with pytest.raises(ValueError):
         unit_dot(MVector(1, 1, 1), MVector(1, 0, 0))

@@ -1,9 +1,14 @@
+import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bks33.catalog import penrose_mpairs, peres_rays
+from bks33.kscolor import verify_symmetry_reduction
+from bks33.orthograph import build_graph
 from bks33.scalar import (
     DEFAULT_TOL,
     ExactComplex,
@@ -143,3 +148,113 @@ def test_mixed_exact_float_arithmetic_rejected():
         ONE + 1.5
     with pytest.raises(TypeError):
         SQRT2 * (1 + 2j)
+
+
+# --- differential test against the Fraction-pair formulas -------------------
+# Reference: p + q*sqrt2 as a pair of Fractions, the kernel's former layout.
+
+def ref_mul(x, y):
+    (a, b), (c, d) = x, y
+    return (a * c + 2 * b * d, a * d + b * c)
+
+
+def ref_div(x, y):
+    (a, b), (c, d) = x, y
+    norm = c * c - 2 * d * d
+    p, q = ref_mul((a, b), (c, -d))
+    return (p / norm, q / norm)
+
+
+def ref_sign(x):
+    p, q = x
+    if not (p or q):
+        return 0
+    if p >= 0 and q >= 0:
+        return 1
+    if p <= 0 and q <= 0:
+        return -1
+    if p * p > 2 * q * q:
+        return 1 if p > 0 else -1
+    return 1 if q > 0 else -1
+
+
+def ref_canonical_str(x):
+    p, q = x
+    d = math.lcm(p.denominator, q.denominator)
+    a, b = int(p * d), int(q * d)
+    if a == 0 and b == 0:
+        return "0"
+    g = math.gcd(a, b, d)
+    a, b, d = a // g, b // g, d // g
+    if b == 0:
+        core = str(a)
+    elif a == 0:
+        core = f"{b}*sqrt2"
+    else:
+        core = f"{a}{'+' if b > 0 else '-'}{abs(b)}*sqrt2"
+    if d == 1:
+        return core
+    return f"({core})/{d}" if a and b else f"{core}/{d}"
+
+
+wide_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+fraction_pairs = st.tuples(wide_fractions, wide_fractions)
+
+
+@settings(max_examples=300)
+@given(fraction_pairs, fraction_pairs)
+def test_kernel_matches_fraction_pair_reference(x, y):
+    qx, qy = QRoot2(*x), QRoot2(*y)
+    results = [
+        (qx, x),
+        (qx + qy, (x[0] + y[0], x[1] + y[1])),
+        (qx - qy, (x[0] - y[0], x[1] - y[1])),
+        (qx * qy, ref_mul(x, y)),
+    ]
+    if any(y):
+        results.append((qx / qy, ref_div(x, y)))
+    for got, want in results:
+        assert got == QRoot2(*want)
+        assert got.sign() == ref_sign(want)
+        assert got.canonical_str() == ref_canonical_str(want)
+    assert (qx == qy) == (x == y)
+
+
+@given(st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 40), st.integers(-9, 9).filter(bool))
+def test_unreduced_inputs_give_one_value(a, b, d, k):
+    reduced = QRoot2(a, b) / d
+    unreduced = QRoot2(a * k, b * k) / (d * k)
+    assert unreduced == reduced
+    assert hash(unreduced) == hash(reduced)
+    assert QRoot2(Fraction(a, d), Fraction(b, d)) == reduced
+
+
+@given(st.integers(-10**30, 10**30), st.integers(1, 10**30))
+def test_rational_hash_matches_int_and_fraction(n, d):
+    assert hash(QRoot2(n)) == hash(n)
+    assert hash(QRoot2(Fraction(n, d))) == hash(Fraction(n, d))
+    assert hash(QRoot2(n) / d) == hash(Fraction(n, d))
+
+
+def test_rational_hash_edge_cases():
+    modulus = sys.hash_info.modulus
+    for value in (Fraction(-1), Fraction(-1, 2), Fraction(1, modulus), Fraction(-3, 2 * modulus)):
+        assert hash(QRoot2(value)) == hash(value)
+
+
+@pytest.mark.parametrize("entries", [peres_rays, penrose_mpairs])
+def test_exact_hot_path_creates_no_fraction(monkeypatch, entries):
+    catalog = entries()
+    created = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        created.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    graph = build_graph(catalog)
+    report = verify_symmetry_reduction(catalog, graph)
+    monkeypatch.undo()
+    assert graph.edge_count == 72 and report.passed
+    assert created == []
