@@ -276,6 +276,6 @@ def recovered_penrose_mpairs() -> list[MPair]:
     """M-vector pairs extracted from the rotated family rays (floating)."""
     pairs = []
     for ray in penrose_from_family():
-        c = [comp.to_complex() for comp in ray.components]
+        c = [complex(comp) for comp in ray.components]
         pairs.append(mpair_from_state(SpinState(c[0], c[1], c[2])))
     return pairs

@@ -23,7 +23,7 @@ from typing import Sequence
 from . import catalog as cat
 from . import kscolor, majorana, orthograph
 from .rays import Ray, overlap2
-from .scalar import QRoot2, to_approx
+from .scalar import DEFAULT_TOL, QRoot2
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 42
@@ -99,7 +99,7 @@ def _ray_row(ray: Ray) -> dict:
     row: dict = {"index": ray.index, "ray_class": cat.class_of(ray.index).value}
     comps = []
     for c in ray.components:
-        z = to_approx(c)
+        z = complex(c)
         entry = {"re": z.real, "im": z.imag}
         if ray.is_exact:
             entry["exact"] = c.canonical_str()
@@ -129,7 +129,7 @@ def _catalog_payload(args) -> tuple[list[dict], dict]:
     a, b, c = params.scalars()
     k = cat.family_k(a, b, c)
     rows = [_ray_row(r) for r in cat.family_rays(params)]
-    return rows, {"k_modulus": abs(to_approx(k))}
+    return rows, {"k_modulus": abs(complex(k))}
 
 
 def cmd_catalog(args) -> int:
@@ -197,30 +197,23 @@ def _symmetry_check(
 
 def cmd_verify(args) -> int:
     report = Report("verify", {"set": args.set, "seed": args.seed, "tol": args.tol})
-    if args.set == "peres":
-        rays = cat.peres_rays()
-        graph = orthograph.build_graph(rays, tol=args.tol)
+    if args.set in ("peres", "penrose"):
+        load, overlap, expected = {
+            "peres": (cat.peres_rays, overlap2, REAL_WITNESS_OVERLAP2),
+            "penrose": (cat.penrose_mpairs, majorana.overlap2_closed_form,
+                        COMPLEX_WITNESS_OVERLAP2),
+        }[args.set]
+        entries = load()
+        graph = orthograph.build_graph(entries, tol=args.tol)
         _diagram_checks(report, graph)
-        witness = overlap2(rays[8], rays[13])
+        witness = overlap(entries[8], entries[13])
         report.add(
             "overlap_9_14_witness",
-            witness == REAL_WITNESS_OVERLAP2,
+            witness == expected,
             overlap2=_qroot2_details(witness),
             magnitude_float=math.sqrt(float(witness)),
         )
-        _symmetry_check(report, rays, graph)
-    elif args.set == "penrose":
-        pairs = cat.penrose_mpairs()
-        graph = orthograph.build_graph(pairs, tol=args.tol)
-        _diagram_checks(report, graph)
-        witness = majorana.overlap2_closed_form(pairs[8], pairs[13])
-        report.add(
-            "overlap_9_14_witness",
-            witness == COMPLEX_WITNESS_OVERLAP2,
-            overlap2=_qroot2_details(witness),
-            magnitude_float=math.sqrt(float(witness)),
-        )
-        _symmetry_check(report, pairs, graph)
+        _symmetry_check(report, entries, graph)
     else:
         rng = Random(args.seed)
         reference_edges = orthograph.reference_decomposition().edges()
@@ -303,9 +296,9 @@ def cmd_prove(args) -> int:
 # critical
 
 
-def _check_deletion(report: Report, graph: orthograph.OrthoGraph, ray: int) -> None:
-    reduced = kscolor.ConstraintSet.from_graph(graph.delete_vertex(ray))
-    coloring = kscolor.search_coloring(reduced)
+def _check_deletion(
+    report: Report, reduced: kscolor.ConstraintSet, ray: int, coloring: kscolor.Coloring | None
+) -> None:
     ok = coloring is not None and kscolor.validate_coloring(coloring, reduced)
     greens = sorted(r for r, c in (coloring or {}).items() if c is kscolor.Color.GREEN)
     report.add(f"delete_{ray}_colorable", ok, greens=greens)
@@ -323,6 +316,8 @@ def _check_deletion(report: Report, graph: orthograph.OrthoGraph, ray: int) -> N
 def cmd_critical(args) -> int:
     report = Report("critical", {"ray": args.ray})
     graph = orthograph.reference_graph()
+    ray = 1 if args.ray == "all" else int(args.ray)
+    reduced = kscolor.ConstraintSet.from_graph(graph.delete_vertex(ray))
     if args.ray == "all":
         audit = kscolor.criticality_audit(graph)
         report.add(
@@ -330,9 +325,10 @@ def cmd_critical(args) -> int:
             len(audit) == 33,
             colorable=len(audit),
         )
-        _check_deletion(report, graph, 1)
+        coloring = audit[1]
     else:
-        _check_deletion(report, graph, int(args.ray))
+        coloring = kscolor.search(reduced).coloring
+    _check_deletion(report, reduced, ray, coloring)
     return _emit(report, args.json)
 
 
@@ -472,55 +468,55 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _common_options(tol: float) -> argparse.ArgumentParser:
-    """Options every subcommand takes.  A subcommand with another ``--tol``
-    default gets its own instance: ``set_defaults`` on a subparser rewrites
-    the default of the parent's shared action."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (printed in the report)")
-    common.add_argument("--tol", type=_positive_float, default=tol,
-                        help=f"floating-point tolerance (default {tol:g})")
-    return common
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bks33",
         description="Verification suite for the 33-ray Kochen-Specker constructions.",
     )
-    common = _common_options(1e-9)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("catalog", parents=[common], help="dump one of the three catalogs")
+    json_help = "emit a JSON report"
+    seed_help = "RNG seed (printed in the report)"
+
+    p = sub.add_parser("catalog", help="dump one of the three catalogs")
     p.add_argument("--set", choices=("peres", "penrose", "family"), required=True)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--json", action="store_true", help="no effect; --format selects the output")
     p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("verify", parents=[common], help="check a catalog against the reference diagram")
+    p = sub.add_parser("verify", help="check a catalog against the reference diagram")
     p.add_argument("--set", choices=("peres", "penrose", "family"), required=True)
     p.add_argument("--samples", type=_positive_int, default=50, help="random family samples")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=seed_help)
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL,
+                   help=f"floating-point tolerance (default {DEFAULT_TOL:g})")
+    p.add_argument("--json", action="store_true", help=json_help)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("prove", parents=[common], help="replay and/or search the non-colorability proof")
+    p = sub.add_parser("prove", help="replay and/or search the non-colorability proof")
     p.add_argument("--mode", choices=("replay", "search", "both"), default="both")
+    p.add_argument("--json", action="store_true", help=json_help)
     p.set_defaults(func=cmd_prove)
 
-    p = sub.add_parser("critical", parents=[common], help="audit single-ray deletions for colorability")
+    p = sub.add_parser("critical", help="audit single-ray deletions for colorability")
     p.add_argument("--ray", type=_ray_or_all, default="all", help="'all' or an index in 1..33")
+    p.add_argument("--json", action="store_true", help=json_help)
     p.set_defaults(func=cmd_critical)
 
-    p = sub.add_parser("export-cnf", parents=[common], help="write the coloring constraints as DIMACS CNF")
+    p = sub.add_parser("export-cnf", help="write the coloring constraints as DIMACS CNF")
     p.add_argument("--out", required=True, help="output path")
     p.add_argument("--delete", type=_delete_ray, default=None, help="delete one ray first")
     p.set_defaults(func=cmd_export_cnf)
 
-    p = sub.add_parser("majorana", parents=[_common_options(1e-10)],
-                       help="cross-check the closed-form overlap machinery")
+    p = sub.add_parser("majorana", help="cross-check the closed-form overlap machinery")
     p.add_argument("--samples", type=_positive_int, default=1000)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=seed_help)
+    p.add_argument("--tol", type=_positive_float, default=1e-10,
+                   help="floating-point tolerance (default 1e-10)")
+    p.add_argument("--json", action="store_true", help=json_help)
     p.set_defaults(func=cmd_majorana)
 
     return parser

@@ -50,6 +50,17 @@ class UncolorableDeletionError(RuntimeError):
     """Raised when a single-deletion instance admits no valid coloring."""
 
 
+def _by_member(
+    constraints: tuple[Constraint, ...], vertices: frozenset[int]
+) -> dict[int, tuple[Constraint, ...]]:
+    """The constraints through each vertex, in constraint order."""
+    by: dict[int, list[Constraint]] = {v: [] for v in vertices}
+    for c in constraints:
+        for m in c:
+            by[m].append(c)
+    return {v: tuple(cs) for v, cs in by.items()}
+
+
 @dataclass(frozen=True)
 class ConstraintSet:
     """Exactly-one-green triads plus at-most-one-green pairs over a vertex set."""
@@ -65,19 +76,11 @@ class ConstraintSet:
 
     @cached_property
     def _exactly_one_by_member(self) -> dict[int, tuple[Constraint, ...]]:
-        by: dict[int, list[Constraint]] = {v: [] for v in self.vertices}
-        for t in self.exactly_one:
-            for m in t:
-                by[m].append(t)
-        return {v: tuple(ts) for v, ts in by.items()}
+        return _by_member(self.exactly_one, self.vertices)
 
     @cached_property
     def _at_most_one_by_member(self) -> dict[int, tuple[Constraint, ...]]:
-        by: dict[int, list[Constraint]] = {v: [] for v in self.vertices}
-        for p in self.at_most_one:
-            for m in p:
-                by[m].append(p)
-        return {v: tuple(ps) for v, ps in by.items()}
+        return _by_member(self.at_most_one, self.vertices)
 
     def triads_of(self, v: int) -> tuple[Constraint, ...]:
         return self._exactly_one_by_member.get(v, ())
@@ -229,10 +232,6 @@ def search(cs: ConstraintSet) -> SearchResult:
         return None
 
     return SearchResult(recurse({}), nodes)
-
-
-def search_coloring(cs: ConstraintSet) -> Coloring | None:
-    return search(cs).coloring
 
 
 def validate_coloring(coloring: Mapping[int, Color], cs: ConstraintSet) -> bool:
@@ -420,7 +419,7 @@ def criticality_audit(g: OrthoGraph) -> dict[int, Coloring]:
     results: dict[int, Coloring] = {}
     for v in sorted(g.vertices):
         reduced = ConstraintSet.from_graph(g.delete_vertex(v))
-        coloring = search_coloring(reduced)
+        coloring = search(reduced).coloring
         if coloring is None or not validate_coloring(coloring, reduced):
             raise UncolorableDeletionError(
                 f"deleting ray {v} leaves no valid coloring"

@@ -98,22 +98,13 @@ def unit_dot(a: MVector, b: MVector) -> RealScalar:
     return ua[0] * ub[0] + ua[1] * ub[1] + ua[2] * ub[2]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MPair:
-    """Unordered pair of M-vectors labeling one spin-1 ray."""
+    """Pair of M-vectors labeling one spin-1 ray; the order carries no meaning,
+    so compare with ``key()`` (exact) or ``mpairs_match`` (tolerance)."""
 
     first: MVector
     second: MVector
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MPair):
-            return NotImplemented
-        return (self.first == other.first and self.second == other.second) or (
-            self.first == other.second and self.second == other.first
-        )
-
-    def __hash__(self) -> int:
-        return hash(frozenset((self.first, self.second)))
 
     @property
     def is_exact(self) -> bool:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .scalar import DEFAULT_TOL, ExactComplex, RealScalar, Scalar, abs2, to_approx
+from .scalar import DEFAULT_TOL, ExactComplex, RealScalar, Scalar, abs2
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,6 @@ class Ray:
     @property
     def is_exact(self) -> bool:
         return all(isinstance(c, ExactComplex) for c in self.components)
-
-    def to_approx(self) -> Ray:
-        return Ray(tuple(to_approx(c) for c in self.components), self.index)
 
     def key(self) -> tuple[ExactComplex, ExactComplex, ExactComplex]:
         """Canonical projective form: the ray scaled so its first nonzero
@@ -82,19 +79,3 @@ def is_orthogonal(a: Ray, b: Ray, tol: float = DEFAULT_TOL) -> bool:
     if a.is_exact and b.is_exact:
         return not inner(a, b)
     return overlap2(a, b) < tol * tol
-
-
-def proportional(a: Ray, b: Ray, tol: float = DEFAULT_TOL) -> bool:
-    """Projective equality: true iff one ray is a nonzero multiple of the other.
-
-    Equivalent to overlap2(a, b) == 1; the exact path tests the vanishing of
-    the three 2x2 minors instead, which avoids divisions.
-    """
-    x, y = a.components, b.components
-    if a.is_exact and b.is_exact:
-        return (
-            not (x[0] * y[1] - x[1] * y[0])
-            and not (x[0] * y[2] - x[2] * y[0])
-            and not (x[1] * y[2] - x[2] * y[1])
-        )
-    return abs(overlap2(a, b) - 1) < tol

@@ -1,9 +1,10 @@
-"""Exact arithmetic in the field Q(sqrt2, i), plus float-complex tolerance helpers.
+"""Exact arithmetic in the field Q(sqrt2, i).
 
 Every catalog entry handled by this package lives in Q(sqrt2, i), so the
 exact types here are all the algebra the verification needs.  Arbitrary
-phases fall back to the builtin ``complex``; the helpers at the bottom give
-the two scalar kinds a common surface.
+phases fall back to the builtin ``complex``.  Both scalar kinds share the
+``real``/``imag``/``conjugate`` surface, and ``complex(z)`` is the one
+double-precision approximation of either (``float(x)`` for ``QRoot2``).
 """
 
 from __future__ import annotations
@@ -227,10 +228,6 @@ class ExactComplex:
     def conjugate(self) -> ExactComplex:
         return _exact(self.re, -self.im)
 
-    def abs2(self) -> QRoot2:
-        """Exact squared magnitude re^2 + im^2."""
-        return self.re * self.re + self.im * self.im
-
     def __add__(self, other: object) -> ExactComplex:
         o = _lift_complex(other)
         if o is None:
@@ -260,7 +257,7 @@ class ExactComplex:
         o = _lift_complex(other)
         if o is None:
             return NotImplemented
-        d = o.abs2()
+        d = o.re * o.re + o.im * o.im
         if not d:
             raise ZeroDivisionError("division by zero in Q(sqrt2, i)")
         num = self * o.conjugate()
@@ -280,10 +277,8 @@ class ExactComplex:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
-    def to_complex(self) -> complex:
+    def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
-
-    __complex__ = to_complex
 
     def __repr__(self) -> str:
         return f"ExactComplex({self.re!r}, {self.im!r})"
@@ -318,20 +313,4 @@ RealScalar = Union[QRoot2, float]
 
 def abs2(z: Scalar) -> RealScalar:
     """Squared magnitude, exact for ExactComplex."""
-    if isinstance(z, ExactComplex):
-        return z.abs2()
-    w = complex(z)
-    return w.real * w.real + w.imag * w.imag
-
-
-def to_approx(z: Scalar | QRoot2 | float) -> complex:
-    """Double-precision image of an exact or floating scalar."""
-    if isinstance(z, ExactComplex):
-        return z.to_complex()
-    if isinstance(z, QRoot2):
-        return complex(float(z))
-    return complex(z)
-
-
-def approx_is_zero(z: complex, tol: float = DEFAULT_TOL) -> bool:
-    return abs(z) < tol
+    return z.real * z.real + z.imag * z.imag

@@ -210,7 +210,32 @@ def test_default_tol_per_subcommand():
     parser = cli.build_parser()
     assert parser.parse_args(["majorana"]).tol == 1e-10
     assert parser.parse_args(["verify", "--set", "peres"]).tol == 1e-9
-    assert parser.parse_args(["prove"]).tol == 1e-9
+    with pytest.raises(SystemExit):
+        parser.parse_args(["prove", "--tol", "1e-9"])
+
+
+#: The options each subcommand does not read, after the arguments it requires.
+UNREAD_OPTIONS = [
+    (command, option)
+    for command, options in [
+        (["catalog", "--set", "peres"], ["--seed", "--tol"]),
+        (["prove"], ["--seed", "--tol"]),
+        (["critical", "--ray", "1"], ["--seed", "--tol"]),
+        (["export-cnf", "--out", "x.cnf"], ["--seed", "--tol", "--json"]),
+    ]
+    for option in options
+]
+
+
+@pytest.mark.parametrize("command, option", UNREAD_OPTIONS,
+                         ids=[f"{c[0]}{o}" for c, o in UNREAD_OPTIONS])
+def test_options_a_subcommand_does_not_read_exit_2(tmp_path, monkeypatch, capsys, command, option):
+    monkeypatch.chdir(tmp_path)
+    value = {"--seed": ["1"], "--tol": ["1e-9"], "--json": []}[option]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, option, *value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [

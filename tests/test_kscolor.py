@@ -15,7 +15,6 @@ from bks33.kscolor import (
     propagate,
     replay_proof,
     search,
-    search_coloring,
     validate_coloring,
     verify_symmetry_reduction,
 )
@@ -112,14 +111,14 @@ def test_search_full_instance_is_unsat():
 def test_replay_and_search_agree():
     trace = replay_proof(FULL)
     assert trace.contradiction is not None
-    assert search_coloring(FULL) is None
+    assert search(FULL).coloring is None
 
 
 def test_single_triad_instance():
     cs = ConstraintSet(
         exactly_one=((1, 2, 3),), at_most_one=(), vertices=frozenset({1, 2, 3})
     )
-    coloring = search_coloring(cs)
+    coloring = search(cs).coloring
     assert coloring is not None
     assert validate_coloring(coloring, cs)
     assert len(greens_of(coloring)) == 1
@@ -127,7 +126,7 @@ def test_single_triad_instance():
 
 def test_delete_one_instance_is_colorable():
     reduced = ConstraintSet.from_graph(reference_graph().delete_vertex(1))
-    coloring = search_coloring(reduced)
+    coloring = search(reduced).coloring
     assert coloring is not None
     assert validate_coloring(coloring, reduced)
 
@@ -193,7 +192,7 @@ def test_search_agrees_with_brute_force_on_subinstances():
     for _ in range(6):
         keep = set(rng.sample(vertices, rng.randint(8, 16)))
         cs = induced_constraints(g, keep)
-        assert (search_coloring(cs) is not None) == brute_force_satisfiable(cs)
+        assert (search(cs).coloring is not None) == brute_force_satisfiable(cs)
 
 
 def test_search_agrees_with_brute_force_on_synthetic_instances():
@@ -208,7 +207,7 @@ def test_search_agrees_with_brute_force_on_synthetic_instances():
             tuple(sorted(rng.sample(vs, 2))) for _ in range(rng.randint(0, 6))
         )
         cs = ConstraintSet(triads, pairs, frozenset(vs))
-        found = search_coloring(cs)
+        found = search(cs).coloring
         assert (found is not None) == brute_force_satisfiable(cs)
         if found is not None:
             assert validate_coloring(found, cs)

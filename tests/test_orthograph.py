@@ -170,7 +170,8 @@ def test_permutations_ignore_entry_rescaling():
 
 def test_float_catalogs_have_no_keys():
     with pytest.raises(ValueError):
-        induced_permutation(ROTATION_111, [r.to_approx() for r in peres_rays()])
+        float_rays = [Ray(tuple(map(complex, r.components))) for r in peres_rays()]
+        induced_permutation(ROTATION_111, float_rays)
     float_pairs = [
         MPair(MVector(*map(float, (p.first.x, p.first.y, p.first.z))), p.second)
         for p in penrose_mpairs()

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bks33.catalog import peres_rays
-from bks33.rays import Ray, inner, is_orthogonal, norm2, overlap2, proportional
+from bks33.rays import Ray, inner, is_orthogonal, norm2, overlap2
 from bks33.scalar import ExactComplex, QRoot2
 
 
@@ -46,11 +46,12 @@ def test_is_orthogonal_examples():
     assert is_orthogonal(rays[9], rays[23])
 
 
-def test_proportional_examples():
-    assert proportional(exact_ray(1, 1, 0), exact_ray(-1, -1, 0))
+def test_key_equality_is_projective_equality():
+    key = exact_ray(1, 1, 0).key()
+    assert exact_ray(-1, -1, 0).key() == key
     i = ExactComplex.i()
-    assert proportional(exact_ray(1, 1, 0), Ray((i, i, ExactComplex.zero())))
-    assert not proportional(exact_ray(1, 1, 0), exact_ray(1, -1, 0))
+    assert Ray((i, i, ExactComplex.zero())).key() == key
+    assert exact_ray(1, -1, 0).key() != key
 
 
 def test_zero_ray_rejected():
@@ -94,7 +95,7 @@ def test_overlap2_scale_invariance_floating():
 
 def test_exact_and_approx_orthogonality_agree_on_all_pairs():
     rays = peres_rays()
-    approx = [r.to_approx() for r in rays]
+    approx = [Ray(tuple(map(complex, r.components))) for r in rays]
     pairs = list(combinations(range(33), 2))
     assert len(pairs) == 528
     for i, j in pairs:

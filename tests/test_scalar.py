@@ -9,14 +9,7 @@ from hypothesis import strategies as st
 from bks33.catalog import penrose_mpairs, peres_rays
 from bks33.kscolor import verify_symmetry_reduction
 from bks33.orthograph import build_graph
-from bks33.scalar import (
-    DEFAULT_TOL,
-    ExactComplex,
-    QRoot2,
-    abs2,
-    approx_is_zero,
-    to_approx,
-)
+from bks33.scalar import ExactComplex, QRoot2, abs2
 
 SQRT2 = ExactComplex.sqrt2()
 I = ExactComplex.i()
@@ -46,10 +39,11 @@ def test_conjugation_examples():
     assert (I * SQRT2).conjugate() == -(I * SQRT2)
 
 
-def test_to_approx_examples():
-    assert to_approx(SQRT2) == pytest.approx(1.4142135623730951, abs=1e-14)
-    assert to_approx(ExactComplex.zero()) == 0
-    assert to_approx(ONE - SQRT2).real == pytest.approx(-0.41421356237, abs=1e-11)
+def test_complex_conversion_examples():
+    assert complex(SQRT2) == pytest.approx(1.4142135623730951, abs=1e-14)
+    assert complex(QRoot2.sqrt2()) == pytest.approx(1.4142135623730951, abs=1e-14)
+    assert complex(ExactComplex.zero()) == 0
+    assert complex(ONE - SQRT2).real == pytest.approx(-0.41421356237, abs=1e-11)
 
 
 def test_division_by_zero_raises():
@@ -114,8 +108,9 @@ def test_conjugation_is_multiplicative(x, y):
 
 @given(exacts)
 def test_abs2_matches_conjugate_product(x):
-    assert ExactComplex(x.abs2()) == x * x.conjugate()
+    assert ExactComplex(abs2(x)) == x * x.conjugate()
     assert abs2(x).sign() >= 0
+    assert abs2(complex(x)) == pytest.approx(float(abs2(x)), abs=1e-12)
 
 
 # catalog-scale values: the entries appearing in the ray tables
@@ -128,19 +123,14 @@ catalog_scale = st.builds(
 
 @settings(max_examples=200)
 @given(st.lists(catalog_scale, min_size=2, max_size=4))
-def test_to_approx_is_a_homomorphism_on_products(factors):
+def test_complex_conversion_is_a_homomorphism_on_products(factors):
     product = ONE
     for f in factors:
         product = product * f
     approx = complex(1.0)
     for f in factors:
-        approx *= to_approx(f)
-    assert abs(to_approx(product) - approx) < 1e-12
-
-
-def test_approx_is_zero_tolerance():
-    assert approx_is_zero(complex(0, DEFAULT_TOL / 2))
-    assert not approx_is_zero(complex(0, DEFAULT_TOL * 2))
+        approx *= complex(f)
+    assert abs(complex(product) - approx) < 1e-12
 
 
 def test_mixed_exact_float_arithmetic_rejected():
