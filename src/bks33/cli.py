@@ -484,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--json", action="store_true", help="no effect; --format selects the output")
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("verify", help="check a catalog against the reference diagram")

@@ -9,15 +9,20 @@ every dyad at most one.  Propagation applies two rules to a fixpoint:
 Rule (i) runs eagerly after every assignment; rule (ii) fires one triad at a
 time in constraint order.  That makes traces deterministic and reproduces
 the documented forcing chain step for step.
+
+Inside the engine a partial coloring is two Python-int bitmasks, ``green``
+and ``red``, bit v standing for ray v, and each constraint set compiles its
+constraints to masks once.  ``propagate`` and ``search`` run the same
+fixpoint on these masks, with the rules in the order above; colorings are
+dicts only where they enter or leave.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .orthograph import (
     Catalog,
@@ -50,15 +55,14 @@ class UncolorableDeletionError(RuntimeError):
     """Raised when a single-deletion instance admits no valid coloring."""
 
 
-def _by_member(
-    constraints: tuple[Constraint, ...], vertices: frozenset[int]
-) -> dict[int, tuple[Constraint, ...]]:
-    """The constraints through each vertex, in constraint order."""
-    by: dict[int, list[Constraint]] = {v: [] for v in vertices}
-    for c in constraints:
-        for m in c:
-            by[m].append(c)
-    return {v: tuple(cs) for v, cs in by.items()}
+class _Compiled(NamedTuple):
+    """The fixpoint's table: per vertex, its constraints (triads before
+    pairs, in constraint order) with their other members, and its triads
+    as (mask, triad); every triad as (mask, triad), in constraint order."""
+
+    constraints_through: dict[int, tuple[tuple[Constraint, Constraint], ...]]
+    triads_through: dict[int, tuple[tuple[int, Constraint], ...]]
+    triads: tuple[tuple[int, Constraint], ...]
 
 
 @dataclass(frozen=True)
@@ -75,18 +79,20 @@ class ConstraintSet:
         return cls(d.triads, d.dyads, g.vertices)
 
     @cached_property
-    def _exactly_one_by_member(self) -> dict[int, tuple[Constraint, ...]]:
-        return _by_member(self.exactly_one, self.vertices)
-
-    @cached_property
-    def _at_most_one_by_member(self) -> dict[int, tuple[Constraint, ...]]:
-        return _by_member(self.at_most_one, self.vertices)
-
-    def triads_of(self, v: int) -> tuple[Constraint, ...]:
-        return self._exactly_one_by_member.get(v, ())
-
-    def pairs_of(self, v: int) -> tuple[Constraint, ...]:
-        return self._at_most_one_by_member.get(v, ())
+    def _compiled(self) -> _Compiled:
+        # No tuple is built from a generator: CPython resizes those, and
+        # once freed they pile up in its per-size tuple free lists.
+        triads = tuple([(sum(1 << m for m in t), t) for t in self.exactly_one])
+        constraints: dict[int, list] = {v: [] for v in self.vertices}
+        through: dict[int, list] = {v: [] for v in self.vertices}
+        for c in self.exactly_one + self.at_most_one:
+            for i, v in enumerate(c):
+                constraints[v].append((c, c[:i] + c[i + 1:]))
+        for entry in triads:
+            for v in entry[1]:
+                through[v].append(entry)
+        return _Compiled({v: tuple(cs) for v, cs in constraints.items()},
+                         {v: tuple(ts) for v, ts in through.items()}, triads)
 
 
 @dataclass(frozen=True)
@@ -122,74 +128,67 @@ class Propagation:
     contradiction: Contradiction | None
 
 
+_Step = tuple[int, Color, Constraint | None]
+
+
+def _fixpoint(
+    table: _Compiled, green: int, red: int, queue: list[int], steps: list[_Step]
+) -> tuple[int, int, tuple[str, Constraint] | None]:
+    """Apply both rules to the masks; return them and any (kind, constraint).
+
+    Rays in ``queue`` drain first in, first out: a green ray forces its
+    mates red, member by member in constraint order; a red ray checks its
+    triads for all red.  Then rule (ii) fires the first triad in constraint
+    order with no green and one free member, and draining starts again.
+    Forced steps are appended to ``steps``.
+    """
+    constraints_through, triads_through, triads = table
+    while True:
+        for ray in queue:  # appending while iterating: a FIFO queue
+            if green >> ray & 1:
+                for c, mates in constraints_through[ray]:
+                    for m in mates:
+                        bit = 1 << m
+                        if green & bit:
+                            return green, red, ("two_greens", c)
+                        if not red & bit:
+                            red |= bit
+                            steps.append((m, Color.RED, c))
+                            queue.append(m)
+            else:
+                for mask, t in triads_through[ray]:
+                    if red & mask == mask:
+                        return green, red, ("all_red", t)
+        for mask, t in triads:
+            if mask & green:
+                continue
+            free = mask & ~red
+            if free and not free & (free - 1):
+                ray = free.bit_length() - 1
+                green |= free
+                steps.append((ray, Color.GREEN, t))
+                queue = [ray]
+                break
+        else:
+            return green, red, None
+
+
 def propagate(coloring: Mapping[int, Color], cs: ConstraintSet) -> Propagation:
     """Run both rules to a fixpoint from the given assignments.
 
     A conflict is reported as a witness, never raised: an all-red triad, or
     a triad/dyad holding two greens.
     """
+    queue = sorted(r for r in coloring if r in cs.vertices)
+    green = sum(1 << r for r in queue if coloring[r] is Color.GREEN)
+    red = sum(1 << r for r in queue if coloring[r] is not Color.GREEN)
+    steps: list[_Step] = []
+    _, _, witness = _fixpoint(cs._compiled, green, red, queue, steps)
     col: Coloring = dict(coloring)
-    forced: list[Forced] = []
-    queue: deque[int] = deque(sorted(col))
-    contradiction: Contradiction | None = None
-
-    def force(ray: int, color: Color, constraint: Constraint) -> None:
-        nonlocal contradiction
-        current = col.get(ray)
-        if current is color:
-            return
-        if current is not None:
-            # forcing red onto a green means the constraint holds two
-            # greens; forcing green onto a red means the triad is all red
-            kind = "two_greens" if color is Color.RED else "all_red"
-            contradiction = Contradiction(kind, constraint)
-            return
+    for ray, color, _ in steps:
         col[ray] = color
-        forced.append(Forced(ray, color, constraint))
-        queue.append(ray)
-
-    def drain() -> None:
-        nonlocal contradiction
-        while queue and contradiction is None:
-            ray = queue.popleft()
-            if col[ray] is Color.GREEN:
-                for t in cs.triads_of(ray):
-                    for m in t:
-                        if m != ray:
-                            force(m, Color.RED, t)
-                        if contradiction:
-                            return
-                for p in cs.pairs_of(ray):
-                    for m in p:
-                        if m != ray:
-                            force(m, Color.RED, p)
-                        if contradiction:
-                            return
-            else:
-                for t in cs.triads_of(ray):
-                    if any(col.get(m) is Color.GREEN for m in t):
-                        continue
-                    if all(col.get(m) is Color.RED for m in t):
-                        contradiction = Contradiction("all_red", t)
-                        return
-
-    while contradiction is None:
-        drain()
-        if contradiction is not None:
-            break
-        fired = False
-        for t in cs.exactly_one:
-            if any(col.get(m) is Color.GREEN for m in t):
-                continue
-            open_members = [m for m in t if m not in col]
-            if len(open_members) == 1:
-                force(open_members[0], Color.GREEN, t)
-                fired = True
-                break
-        if not fired:
-            break
-
-    return Propagation(col, tuple(forced), contradiction)
+    return Propagation(col, tuple([Forced(*step) for step in steps]),
+                       None if witness is None else Contradiction(*witness))
 
 
 @dataclass(frozen=True)
@@ -205,33 +204,45 @@ def search(cs: ConstraintSet) -> SearchResult:
     undecided members; once every triad holds a green, the remaining rays
     are red.  Returns None only after the whole choice tree is exhausted.
     """
-    nodes = 0
+    trail: list[_Step] = []
+    found, nodes = _descend(cs._compiled, 0, 0, [], trail)
+    if not found:
+        return SearchResult(None, nodes)
+    coloring: Coloring = {ray: color for ray, color, _ in trail}
+    for v in cs.vertices:
+        coloring.setdefault(v, Color.RED)
+    return SearchResult(coloring, nodes)
 
-    def recurse(coloring: Coloring) -> Coloring | None:
-        nonlocal nodes
-        nodes += 1
-        prop = propagate(coloring, cs)
-        if prop.contradiction is not None:
-            return None
-        col = prop.coloring
-        open_triads = [
-            t for t in cs.exactly_one
-            if not any(col.get(m) is Color.GREEN for m in t)
-        ]
-        if not open_triads:
-            full = dict(col)
-            for v in cs.vertices:
-                full.setdefault(v, Color.RED)
-            return full
-        t = min(open_triads, key=lambda t: (sum(1 for m in t if m not in col), t))
-        for m in t:
-            if m not in col:
-                found = recurse({**col, m: Color.GREEN})
-                if found is not None:
-                    return found
-        return None
 
-    return SearchResult(recurse({}), nodes)
+def _descend(
+    table: _Compiled, green: int, red: int, queue: list[int], trail: list[_Step]
+) -> tuple[bool, int]:
+    """Search below one node: whether a coloring was found, and the nodes.
+
+    ``queue`` holds only the node's new green: the parent is a fixpoint,
+    and unit propagation reaches the same fixpoint, or a conflict, in any
+    order.  A coloring found is left on ``trail`` in assignment order.
+    """
+    green, red, witness = _fixpoint(table, green, red, queue, trail)
+    if witness is not None:
+        return False, 1
+    done = green | red
+    open_triads = [
+        ((mask & ~done).bit_count(), t) for mask, t in table.triads if not mask & green
+    ]
+    if not open_triads:
+        return True, 1
+    nodes = 1
+    mark = len(trail)
+    for m in min(open_triads)[1]:
+        if not done >> m & 1:
+            trail.append((m, Color.GREEN, None))
+            found, below = _descend(table, green | 1 << m, red, [m], trail)
+            nodes += below
+            if found:
+                return True, nodes
+            del trail[mark:]
+    return False, nodes
 
 
 def validate_coloring(coloring: Mapping[int, Color], cs: ConstraintSet) -> bool:

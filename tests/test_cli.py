@@ -218,7 +218,7 @@ def test_default_tol_per_subcommand():
 UNREAD_OPTIONS = [
     (command, option)
     for command, options in [
-        (["catalog", "--set", "peres"], ["--seed", "--tol"]),
+        (["catalog", "--set", "peres"], ["--seed", "--tol", "--json"]),
         (["prove"], ["--seed", "--tol"]),
         (["critical", "--ray", "1"], ["--seed", "--tol"]),
         (["export-cnf", "--out", "x.cnf"], ["--seed", "--tol", "--json"]),

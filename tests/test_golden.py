@@ -17,7 +17,7 @@ from bks33 import cli
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 REPORTS = {
-    **{f"catalog-{s}.json": ["catalog", "--set", s, "--json"]
+    **{f"catalog-{s}.json": ["catalog", "--set", s, "--format", "json"]
        for s in ("peres", "penrose", "family")},
     **{f"verify-{s}.json": ["verify", "--set", s, "--json"]
        for s in ("peres", "penrose", "family")},

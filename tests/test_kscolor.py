@@ -1,3 +1,7 @@
+import gc
+import hashlib
+import json
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -229,3 +233,88 @@ def test_symmetry_reduction_pair_angles_on_real_catalog():
     assert report.pair_rotations[frozenset({10, 12})] == 270
     assert report.pair_rotations[frozenset({13, 12})] == 180
     assert report.pair_rotations[frozenset({11, 13})] == 90
+
+
+def test_search_tree_is_pinned():
+    graph = reference_graph()
+    assert search(FULL).nodes == 34
+    assert [
+        search(ConstraintSet.from_graph(graph.delete_vertex(v))).nodes
+        for v in range(1, 34)
+    ] == [8, 6, 6, 5, 5, 4, 4, 8, 8, 5, 5, 5, 5, 10, 5, 5, 10, 8, 8, 8, 8,
+          7, 5, 5, 7, 18, 5, 5, 18, 18, 7, 7, 18]
+    total = 0
+    digest = hashlib.sha256()
+    for u, v in combinations(range(1, 34), 2):
+        result = search(
+            ConstraintSet.from_graph(graph.delete_vertex(u).delete_vertex(v))
+        )
+        total += result.nodes
+        greens = sorted(greens_of(result.coloring))
+        digest.update(json.dumps([u, v, result.nodes, greens]).encode())
+    assert total == 3291
+    assert digest.hexdigest() == (
+        "f3c9ff593e2e613897ad559533a9507f6af57de23aa7edfc1bf81d46ec83b074"
+    )
+
+
+def test_search_leaves_no_reference_cycle():
+    instances = [
+        ConstraintSet.from_graph(reference_graph()),
+        ConstraintSet.from_graph(reference_graph().delete_vertex(1)),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        assert search(instances[0]).coloring is None
+        assert search(instances[1]).coloring is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def closure_oracle(greens, cs: ConstraintSet):
+    """Rules (i) and (ii) to a fixpoint on sets, in no particular order.
+
+    Returns the green and red sets, or None when some constraint holds two
+    greens or some triad is all red.
+    """
+    green, red = set(greens), set()
+    constraints = [set(c) for c in cs.exactly_one + cs.at_most_one]
+    triads = [set(t) for t in cs.exactly_one]
+    changed = True
+    while changed:
+        changed = False
+        for c in constraints:
+            on = c & green
+            if len(on) > 1:
+                return None
+            if on and not c - on <= red:
+                red |= c - on
+                changed = True
+        for t in triads:
+            free = t - red
+            if not t & green and len(free) <= 1:
+                if not free:
+                    return None
+                green |= free
+                changed = True
+    return green, red
+
+
+def test_propagate_agrees_with_closure_oracle():
+    graph = reference_graph()
+    instances = [FULL] + [
+        ConstraintSet.from_graph(graph.delete_vertex(v)) for v in range(1, 34)
+    ]
+    for cs in instances:
+        vertices = sorted(cs.vertices)
+        starts = [(v,) for v in vertices] + list(combinations(vertices, 2))
+        for start in starts:
+            result = propagate({v: Color.GREEN for v in start}, cs)
+            expected = closure_oracle(start, cs)
+            if expected is None:
+                assert result.contradiction is not None, start
+            else:
+                assert result.contradiction is None, start
+                assert (greens_of(result.coloring), reds_of(result.coloring)) == expected
