@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .scalar import DEFAULT_TOL, ExactComplex, RealScalar, Scalar, abs2
 
@@ -12,21 +13,33 @@ class Ray:
     """A nonzero vector in C^3, meaningful only up to complex rescaling.
 
     Components are stored verbatim (unnormalized); ``index`` is an optional
-    1-based catalog label.
+    1-based catalog label.  A ray is exact when all three components are
+    ``ExactComplex`` and float when none is; a ray that mixes the two kinds
+    is rejected.  ``is_exact`` is decided on construction and ``norm2``
+    on first use, once per ray.
     """
 
     components: tuple[Scalar, Scalar, Scalar]
     index: int | None = field(default=None, compare=False)
+    is_exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.components) != 3:
+        c = self.components
+        if len(c) != 3:
             raise ValueError("a ray needs exactly 3 components")
-        if not any(bool(c) for c in self.components):
+        if not (c[0] or c[1] or c[2]):
             raise ValueError("a ray must have a nonzero component")
+        exact = isinstance(c[0], ExactComplex)
+        if (isinstance(c[1], ExactComplex) is not exact
+                or isinstance(c[2], ExactComplex) is not exact):
+            raise ValueError("a ray's components must be all exact or all float")
+        object.__setattr__(self, "is_exact", exact)
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(c, ExactComplex) for c in self.components)
+    @cached_property
+    def norm2(self) -> RealScalar:
+        """Squared norm <a|a>, exact for an exact ray."""
+        c = self.components
+        return abs2(c[0]) + abs2(c[1]) + abs2(c[2])
 
     def key(self) -> tuple[ExactComplex, ExactComplex, ExactComplex]:
         """Canonical projective form: the ray scaled so its first nonzero
@@ -61,21 +74,21 @@ def inner(a: Ray, b: Ray) -> Scalar:
     )
 
 
-def norm2(a: Ray) -> RealScalar:
-    return abs2(a.components[0]) + abs2(a.components[1]) + abs2(a.components[2])
-
-
 def overlap2(a: Ray, b: Ray) -> RealScalar:
     """Normalized squared overlap |<a|b>|^2 / (<a|a><b|b>) in [0, 1].
 
-    Invariant under independent nonzero rescaling of either ray; exact when
-    both rays are exact.
+    Invariant under independent nonzero rescaling of either ray.  Exact
+    when both rays are exact, a float when both are float; an exact ray
+    against a float ray raises ValueError.
     """
-    return abs2(inner(a, b)) / (norm2(a) * norm2(b))
+    if a.is_exact is not b.is_exact:
+        raise ValueError("cannot compare an exact ray with a float ray")
+    return abs2(inner(a, b)) / (a.norm2 * b.norm2)
 
 
 def is_orthogonal(a: Ray, b: Ray, tol: float = DEFAULT_TOL) -> bool:
-    """Exact zero test for exact rays; overlap2 < tol^2 for float rays."""
+    """Exact zero test of <a|b> for two exact rays; overlap2 < tol^2 for
+    two float rays.  An exact ray against a float ray raises ValueError."""
     if a.is_exact and b.is_exact:
         return not inner(a, b)
     return overlap2(a, b) < tol * tol

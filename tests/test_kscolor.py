@@ -168,6 +168,19 @@ def test_criticality_audit_all_deletions():
         assert validate_coloring(coloring, reduced)
 
 
+def test_deletion_demotes_triads_through_the_ray_to_pairs():
+    # The claim in criticality_audit's docstring, for every single deletion:
+    # the triads through v lose v and join the dyads as at-most-one pairs.
+    graph = reference_graph()
+    for v in sorted(graph.vertices):
+        demoted = [tuple(m for m in t if m != v) for t in FULL.exactly_one if v in t]
+        kept_pairs = [p for p in FULL.at_most_one if v not in p]
+        rederived = ConstraintSet.from_graph(graph.delete_vertex(v))
+        assert rederived.exactly_one == tuple(t for t in FULL.exactly_one if v not in t)
+        assert rederived.at_most_one == tuple(sorted(kept_pairs + demoted))
+        assert rederived.vertices == FULL.vertices - {v}
+
+
 def brute_force_satisfiable(cs: ConstraintSet) -> bool:
     vs = sorted(cs.vertices)
     pos = {v: i for i, v in enumerate(vs)}

@@ -57,19 +57,25 @@ def test_three_catalogs_share_one_graph():
 
 
 def test_nonedges_stay_far_from_zero_in_floating_runs():
-    rng = Random(77)
-    params = FamilyParams(*(rng.uniform(0, 2 * math.pi) for _ in range(3)))
-    rays = family_rays(params)
+    # Bounds from the measured margins: over 500 random phases the largest
+    # edge overlap was 2.5e-31 and the smallest non-edge overlap 0.0143068,
+    # just above (3 - 2 sqrt2)/12 = 0.0142977, the smallest non-edge value
+    # the family takes over all phases.
     from bks33.rays import overlap2
 
+    nonedge_floor = (3 - 2 * math.sqrt(2)) / 12 * (1 - 1e-9)
+    rng = Random(77)
     reference = reference_graph()
-    for i in range(1, 34):
-        for j in range(i + 1, 34):
-            value = overlap2(rays[i - 1], rays[j - 1])
-            if reference.has_edge(i, j):
-                assert value < 1e-18
-            else:
-                assert value > 1e-9
+    for _ in range(200):
+        params = FamilyParams(*(rng.uniform(0, 2 * math.pi) for _ in range(3)))
+        rays = family_rays(params)
+        for i in range(1, 34):
+            for j in range(i + 1, 34):
+                value = overlap2(rays[i - 1], rays[j - 1])
+                if reference.has_edge(i, j):
+                    assert value < 1e-28
+                else:
+                    assert value >= nonedge_floor
 
 
 def test_decompose_rejects_edge_in_two_triangles():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -6,9 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bks33.catalog import peres_rays
-from bks33.rays import Ray, inner, is_orthogonal, norm2, overlap2
-from bks33.scalar import ExactComplex, QRoot2
+import bks33.rays
+from bks33.catalog import FamilyParams, family_rays, peres_rays
+from bks33.orthograph import build_graph
+from bks33.rays import Ray, inner, is_orthogonal, overlap2
+from bks33.scalar import DEFAULT_TOL, ExactComplex, QRoot2, abs2
 
 
 def exact_ray(*entries):
@@ -106,7 +109,71 @@ def test_exact_and_approx_orthogonality_agree_on_all_pairs():
 
 def test_norm2_positive():
     for ray in peres_rays():
-        assert norm2(ray).sign() > 0
+        assert ray.norm2.sign() > 0
+
+
+def test_mixed_components_rejected():
+    with pytest.raises(ValueError, match="all exact or all float"):
+        Ray((ExactComplex(1), 1j, 0j))
+    with pytest.raises(ValueError, match="all exact or all float"):
+        Ray((0j, 1j, ExactComplex.zero()))
+
+
+def test_exact_and_float_rays_are_not_compared():
+    exact = peres_rays()[0]
+    approx = Ray((1 + 0j, 1j, 0j))
+    for a, b in ((exact, approx), (approx, exact)):
+        with pytest.raises(ValueError, match="exact ray with a float ray"):
+            is_orthogonal(a, b)
+        with pytest.raises(ValueError, match="exact ray with a float ray"):
+            overlap2(a, b)
+
+
+def random_float_ray(rng):
+    return Ray(tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3)))
+
+
+def generic_family(rng):
+    return family_rays(FamilyParams(*(rng.uniform(0, 2 * math.pi) for _ in range(3))))
+
+
+def test_float_pair_test_computes_each_norm_once(monkeypatch):
+    calls = []
+
+    def counting_abs2(z):
+        calls.append(z)
+        return abs2(z)
+
+    monkeypatch.setattr(bks33.rays, "abs2", counting_abs2)
+    rays = generic_family(Random(11))
+    assert not any(ray.is_exact for ray in rays)
+    build_graph(rays)
+    # three per ray for its norm, one per pair for |<a|b>|^2
+    assert len(calls) <= 33 * 3 + 528
+
+
+def oracle_overlap2(a, b):
+    """overlap2 spelled out without Ray.norm2, operands in the same order."""
+    x, y = a.components, b.components
+    return abs2(inner(a, b)) / (
+        (abs2(x[0]) + abs2(x[1]) + abs2(x[2])) * (abs2(y[0]) + abs2(y[1]) + abs2(y[2]))
+    )
+
+
+def test_float_overlap2_is_bit_identical_to_the_per_pair_norm_oracle():
+    rng = Random(4099)
+    for _ in range(5):
+        rays = generic_family(rng)
+        oracle_edges = set()
+        for (i, a), (j, b) in combinations(enumerate(rays, start=1), 2):
+            value = oracle_overlap2(a, b)
+            assert overlap2(a, b) == value
+            if value < DEFAULT_TOL * DEFAULT_TOL:
+                oracle_edges.add((i, j))
+        assert build_graph(rays).edges == oracle_edges
+    for _ in range(200):
+        a, b = random_float_ray(rng), random_float_ray(rng)
+        assert overlap2(a, b) == oracle_overlap2(a, b)
 
 
 @given(exact_rays)
