@@ -4,8 +4,10 @@
   verbatim (``+-2`` in the integer tables below encodes ``+-sqrt2``);
 * the complex set: 33 spin-1 rays given by unordered pairs of M-vectors
   with components in {0, +-1};
-* the three-phase family containing both, built from unit-modulus scalars
-  a, b and c/sqrt2 plus the derived k = -a*conj(b)*c/conj(c).
+* the three-phase family containing both.  Each family component is the
+  matching real entry times a monomial in the unit phases e^{i alpha},
+  e^{i beta} and e^{i gamma}, whose exponents are listed in
+  ``_PHASE_TABLE``; at zero phases the family is the real set verbatim.
 
 Catalog functions return lists ordered by the 1-based index, which each
 entry also carries.
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 from .majorana import MPair, MVector, mpair_from_state, SpinState
 from .rays import Ray
-from .scalar import ExactComplex, QRoot2, Scalar
+from .scalar import ExactComplex, QRoot2
 
 _HALF_PI = math.pi / 2.0
 
@@ -59,6 +61,57 @@ _REAL_TABLE: tuple[tuple[int, int, int], ...] = (
     (2, -1, 0), (2, 1, 0), (0, -1, 2), (0, 2, 1),
     (2, 0, 1), (2, 0, -1), (0, 2, -1),
 )
+
+# Family phases, aligned with _REAL_TABLE: component j of ray i is the real
+# entry times e^{i(x*alpha + y*beta + z*gamma)} for (x, y, z) =
+# _PHASE_TABLE[i][j].  Zero entries carry (0, 0, 0).  Ray 8 is (1, k, 0) with
+# k = -e^{i(alpha - beta + 2*gamma)}.
+_PHASE_TABLE: tuple[tuple[tuple[int, int, int], ...], ...] = (
+    ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
+    ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
+    ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
+    ((0, 0, 0), (0, 0, 0), (1, 0, 0)),
+    ((0, 0, 0), (-1, 0, 0), (0, 0, 0)),
+    ((0, 0, 0), (0, 0, 0), (0, 1, 0)),
+    ((0, -1, 0), (0, 0, 0), (0, 0, 0)),
+    ((0, 0, 0), (1, -1, 2), (0, 0, 0)),
+    ((-1, 1, -2), (0, 0, 0), (0, 0, 0)),
+    ((-1, 0, -1), (-1, 0, 0), (0, 0, 0)),
+    ((0, 0, -1), (0, 0, 0), (1, 0, 0)),
+    ((0, 0, -1), (0, 0, 0), (1, 0, 0)),
+    ((-1, 0, -1), (-1, 0, 0), (0, 0, 0)),
+    ((0, -1, 0), (0, -1, 1), (0, 0, 0)),
+    ((0, 0, 0), (0, 0, 1), (0, 1, 0)),
+    ((0, 0, 0), (0, 0, 1), (0, 1, 0)),
+    ((0, -1, 0), (0, -1, 1), (0, 0, 0)),
+    ((-1, 1, -2), (0, 0, 0), (0, 1, -1)),
+    ((0, 0, 0), (1, -1, 2), (1, 0, 1)),
+    ((0, 0, 0), (1, -1, 2), (1, 0, 1)),
+    ((-1, 1, -2), (0, 0, 0), (0, 1, -1)),
+    ((0, 0, 0), (0, 0, 0), (1, 0, 1)),
+    ((0, 0, 0), (0, 0, 1), (0, 0, 0)),
+    ((0, 0, 0), (0, 0, 1), (0, 0, 0)),
+    ((0, 0, 0), (0, 0, 0), (1, 0, 1)),
+    ((0, 0, 0), (0, 0, 0), (0, 1, -1)),
+    ((0, 0, -1), (0, 0, 0), (0, 0, 0)),
+    ((0, 0, -1), (0, 0, 0), (0, 0, 0)),
+    ((0, 0, 0), (0, 0, 0), (0, 1, -1)),
+    ((0, 0, 0), (0, -1, 1), (0, 0, 0)),
+    ((-1, 0, -1), (0, 0, 0), (0, 0, 0)),
+    ((-1, 0, -1), (0, 0, 0), (0, 0, 0)),
+    ((0, 0, 0), (0, -1, 1), (0, 0, 0)),
+)
+
+#: Each distinct exponent vector of _PHASE_TABLE with the factors of its
+#: monomial: index j < 3 is unit phase j, index j + 3 its conjugate.
+_MONOMIALS = {
+    e: tuple(j if n > 0 else j + 3 for j, n in enumerate(e) for _ in range(abs(n)))
+    for e in sorted({e for row in _PHASE_TABLE for e in row})
+}
+#: The 21 distinct (entry, exponents) pairs; each ray as three indices into them.
+_TERMS = sorted({t for row, phases in zip(_REAL_TABLE, _PHASE_TABLE) for t in zip(row, phases)})
+_RAY_TERMS = [tuple(map(_TERMS.index, zip(row, phases)))
+              for row, phases in zip(_REAL_TABLE, _PHASE_TABLE)]
 
 # M-vector pairs, one per index 1..33; components are plain signs.
 _MPAIR_TABLE: tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...] = (
@@ -98,16 +151,15 @@ _MPAIR_TABLE: tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...] = (
 )
 
 
-def _exact_entry(n: int) -> ExactComplex:
-    if n in (2, -2):
-        return ExactComplex(QRoot2(0, n // 2))
-    return ExactComplex(n)
+#: The value of each integer table entry; +-2 encodes +-sqrt2.
+_EXACT_ENTRIES = {n: ExactComplex(QRoot2(0, n // 2) if n in (2, -2) else n) for n in range(-2, 3)}
+_FLOAT_ENTRIES = {n: complex(value) for n, value in _EXACT_ENTRIES.items()}
 
 
 def peres_rays() -> list[Ray]:
     """The 33 real rays, with exact components."""
     return [
-        Ray(tuple(_exact_entry(n) for n in row), index=i)
+        Ray(tuple(_EXACT_ENTRIES[n] for n in row), index=i)
         for i, row in enumerate(_REAL_TABLE, start=1)
     ]
 
@@ -122,105 +174,45 @@ def penrose_mpairs() -> list[MPair]:
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Free phases of the three-parameter family.
+    """Free phases (alpha, beta, gamma) of the three-phase family.
 
-    The family scalars are a = e^{i alpha}, b = e^{i beta} and
-    c = sqrt2 * e^{i gamma}; their moduli are fixed at 1, 1, sqrt2.  Phases
-    within 1e-12 of a multiple of pi/2 are evaluated exactly in Q(sqrt2, i).
+    ``family_rays`` multiplies each ``_REAL_TABLE`` entry by the monomial in
+    e^{i alpha}, e^{i beta}, e^{i gamma} that ``_PHASE_TABLE`` lists for it.
+    A phase is a quarter turn when its unit phase lies within
+    (pi/2) * 1e-12 of 1, i, -1 or -i; when all three are, the family is
+    evaluated exactly in Q(sqrt2, i).  Phases must be finite.
     """
 
     alpha: float = 0.0
     beta: float = 0.0
     gamma: float = 0.0
 
+    def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+
     @classmethod
     def peres_point(cls) -> FamilyParams:
-        """Phases giving a = 1, b = 1, c = sqrt2: the real catalog."""
+        """Zero phases: the real catalog, entry for entry."""
         return cls(0.0, 0.0, 0.0)
 
     @classmethod
     def penrose_point(cls) -> FamilyParams:
-        """Phases giving a = -i, b = -1, c = -sqrt2: the complex catalog."""
+        """Phases (-pi/2, pi, pi): the complex catalog."""
         return cls(-_HALF_PI, math.pi, math.pi)
 
-    def scalars(self) -> tuple[Scalar, Scalar, Scalar]:
-        """(a, b, c), exact when all three phases sit on quarter turns."""
-        turns = [_quarter_turns(p) for p in (self.alpha, self.beta, self.gamma)]
-        if all(t is not None for t in turns):
-            i_pow = (ExactComplex.one(), ExactComplex.i(),
-                     -ExactComplex.one(), -ExactComplex.i())
-            a = i_pow[turns[0]]
-            b = i_pow[turns[1]]
-            c = ExactComplex.sqrt2() * i_pow[turns[2]]
-            return a, b, c
-        return (
-            cmath.exp(1j * self.alpha),
-            cmath.exp(1j * self.beta),
-            math.sqrt(2.0) * cmath.exp(1j * self.gamma),
-        )
+
+_I_POWERS = (ExactComplex.one(), ExactComplex.i(), -ExactComplex.one(), -ExactComplex.i())
 
 
-def _quarter_turns(phase: float) -> int | None:
-    m = phase / _HALF_PI
-    r = round(m)
-    if abs(m - r) < 1e-12:
-        return r % 4
+def _quarter_turns(unit: complex) -> int | None:
+    """t when the unit phase e^{i phi} lies within (pi/2) * 1e-12 of i**t, else
+    None.  Not decided from phi / (pi/2), an integer for every phi beyond 2**52."""
+    for t, power in enumerate((1, 1j, -1, -1j)):
+        if abs(unit - power) < _HALF_PI * 1e-12:
+            return t
     return None
-
-
-def family_k(a: Scalar, b: Scalar, c: Scalar) -> Scalar:
-    """The derived unit-modulus scalar k = -a * conj(b) * c / conj(c)."""
-    return -(a * b.conjugate() * c) / c.conjugate()
-
-
-def _family_components(
-    a: Scalar, b: Scalar, c: Scalar
-) -> list[tuple[Scalar, Scalar, Scalar]]:
-    one: Scalar
-    zero: Scalar
-    if isinstance(a, ExactComplex):
-        one, zero = ExactComplex.one(), ExactComplex.zero()
-    else:
-        one, zero = complex(1.0), complex(0.0)
-    k = family_k(a, b, c)
-    astar, bstar, cstar, kstar = (
-        a.conjugate(), b.conjugate(), c.conjugate(), k.conjugate(),
-    )
-    return [
-        (one, zero, zero),
-        (zero, one, zero),
-        (zero, zero, one),
-        (zero, one, a),
-        (zero, astar, -one),
-        (one, zero, b),
-        (bstar, zero, -one),
-        (one, k, zero),
-        (kstar, -one, zero),
-        (astar * cstar, -astar, one),
-        (cstar, one, a),
-        (-cstar, one, a),
-        (astar * cstar, astar, -one),
-        (-bstar, bstar * c, one),
-        (one, c, b),
-        (one, -c, b),
-        (bstar, bstar * c, -one),
-        (-kstar, one, b * cstar),
-        (one, k, -(a * c)),
-        (one, k, a * c),
-        (kstar, -one, b * cstar),
-        (one, zero, a * c),
-        (one, -c, zero),
-        (one, c, zero),
-        (one, zero, -(a * c)),
-        (zero, one, b * cstar),
-        (-cstar, one, zero),
-        (cstar, one, zero),
-        (zero, one, -(b * cstar)),
-        (zero, bstar * c, one),
-        (astar * cstar, zero, one),
-        (-(astar * cstar), zero, one),
-        (zero, -(bstar * c), one),
-    ]
 
 
 def family_rays(params: FamilyParams) -> list[Ray]:
@@ -229,10 +221,24 @@ def family_rays(params: FamilyParams) -> list[Ray]:
     Exact on quarter-turn phases (which covers both named special points),
     floating otherwise.
     """
-    a, b, c = params.scalars()
+    units = [cmath.exp(1j * p) for p in (params.alpha, params.beta, params.gamma)]
+    turns = [_quarter_turns(u) for u in units]
+    entries = _FLOAT_ENTRIES
+    if None not in turns:
+        units = [_I_POWERS[t] for t in turns]
+        entries = _EXACT_ENTRIES
+    # products of unit phases, never exp(alpha + gamma): a large alpha swamps gamma
+    factors = units + [u.conjugate() for u in units]
+    monomials = {}
+    for exponents, indices in _MONOMIALS.items():
+        m = entries[1]
+        for j in indices:
+            m = m * factors[j]
+        monomials[exponents] = m
+    terms = [entries[n] * monomials[e] for n, e in _TERMS]
     return [
-        Ray(row, index=i)
-        for i, row in enumerate(_family_components(a, b, c), start=1)
+        Ray((terms[j0], terms[j1], terms[j2]), index=i)
+        for i, (j0, j1, j2) in enumerate(_RAY_TERMS, start=1)
     ]
 
 

@@ -125,11 +125,9 @@ def _catalog_payload(args) -> tuple[list[dict], dict]:
                 }
             )
         return rows, {}
-    params = cat.FamilyParams(args.alpha, args.beta, args.gamma)
-    a, b, c = params.scalars()
-    k = cat.family_k(a, b, c)
-    rows = [_ray_row(r) for r in cat.family_rays(params)]
-    return rows, {"k_modulus": abs(complex(k))}
+    rays = cat.family_rays(cat.FamilyParams(args.alpha, args.beta, args.gamma))
+    k = rays[7].components[1]  # ray 8 is (1, k, 0)
+    return [_ray_row(r) for r in rays], {"k_modulus": abs(complex(k))}
 
 
 def cmd_catalog(args) -> int:
@@ -461,8 +459,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
@@ -480,9 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="dump one of the three catalogs")
     p.add_argument("--set", choices=("peres", "penrose", "family"), required=True)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=0.0)
+    p.add_argument("--alpha", type=_finite_float, default=0.0)
+    p.add_argument("--beta", type=_finite_float, default=0.0)
+    p.add_argument("--gamma", type=_finite_float, default=0.0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_catalog)
 

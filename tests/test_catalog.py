@@ -1,13 +1,16 @@
+import cmath
 import math
+from itertools import product
 from random import Random
 
 import pytest
 
 from bks33.catalog import (
+    _PHASE_TABLE,
+    _REAL_TABLE,
     FamilyParams,
     RayClass,
     class_of,
-    family_k,
     family_rays,
     penrose_from_family,
     penrose_mpairs,
@@ -15,6 +18,7 @@ from bks33.catalog import (
     recovered_penrose_mpairs,
 )
 from bks33.majorana import MPair, MVector, mpairs_match
+from bks33.rays import Ray, overlap2
 from bks33.scalar import ExactComplex, QRoot2
 
 
@@ -84,21 +88,24 @@ def test_family_at_real_point_matches_real_catalog_projectively():
     per = peres_rays()
     assert all(f.is_exact for f in fam)
     for f, p in zip(fam, per):
+        assert f.components == p.components
         assert f.key() == p.key()
 
 
 def test_family_special_scalars_are_exact():
-    a, b, c = FamilyParams.peres_point().scalars()
-    assert (a, b, c) == (ExactComplex.one(), ExactComplex.one(), ExactComplex.sqrt2())
-    a, b, c = FamilyParams.penrose_point().scalars()
-    assert a == -ExactComplex.i()
-    assert b == -ExactComplex.one()
-    assert c == -ExactComplex.sqrt2()
+    # a, b and c are the third components of rays 4 and 6 and the second of ray 15
+    i = ExactComplex.i()
+    for params, (a, b, c) in [
+        (FamilyParams.peres_point(), (ExactComplex.one(), ExactComplex.one(), ExactComplex.sqrt2())),
+        (FamilyParams.penrose_point(), (-i, -ExactComplex.one(), -ExactComplex.sqrt2())),
+    ]:
+        rays = family_rays(params)
+        assert all(ray.is_exact for ray in rays)
+        assert (rays[3].components[2], rays[5].components[2], rays[14].components[1]) == (a, b, c)
 
 
 def test_family_k_at_real_point():
-    a, b, c = FamilyParams.peres_point().scalars()
-    assert family_k(a, b, c) == -ExactComplex.one()
+    # ray 8 is (1, k, 0)
     fam = family_rays(FamilyParams.peres_point())
     assert fam[7].components == exact(1, -1, 0)
 
@@ -111,17 +118,146 @@ def test_family_first_ray_is_fixed():
         assert rays[0].components == (complex(1), complex(0), complex(0))
 
 
-def test_family_k_has_unit_modulus():
+def test_family_float_components_have_modulus_0_1_or_sqrt2():
     rng = Random(9)
     for _ in range(100):
         params = FamilyParams(*(rng.uniform(0, 2 * math.pi) for _ in range(3)))
-        a, b, c = params.scalars()
-        assert abs(complex(family_k(a, b, c))) == pytest.approx(1, abs=1e-12)
+        for ray in family_rays(params):
+            for z in ray.components:
+                assert min(abs(abs(z) - m) for m in (0, 1, math.sqrt(2))) < 1e-12
 
 
 def test_generic_phases_take_the_floating_path():
-    params = FamilyParams(0.3, 0.0, 0.0)
-    assert isinstance(params.scalars()[0], complex)
+    assert not any(ray.is_exact for ray in family_rays(FamilyParams(0.3, 0.0, 0.0)))
+
+
+@pytest.mark.parametrize("alpha, exact", [
+    (0.0, True), (1e-13, True), (-math.pi / 2 + 1e-13, True), (3 * math.pi, True),
+    (3e-12, False), (0.3, False), (1e16, False), (1e17, False),
+])
+def test_quarter_turns_are_decided_from_the_unit_phase(alpha, exact):
+    ray4 = family_rays(FamilyParams(alpha, 0.0, 0.0))[3]
+    assert ray4.is_exact is exact
+    if not exact:
+        # beyond 2**52, alpha / (pi/2) is always an integer; e^{i alpha} is not 1, i, -1 or -i
+        assert ray4.components[2] == cmath.exp(1j * alpha)
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta", "gamma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_phases_are_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        FamilyParams(**{field: value})
+
+
+def reference_family_rows(a, b, c, one, zero):
+    """The family written out in a, b, c/sqrt2 and k = -a*conj(b)*c/conj(c),
+    an independent transcription kept as an oracle for the table."""
+    k = -(a * b.conjugate() * c) / c.conjugate()
+    astar, bstar, cstar, kstar = a.conjugate(), b.conjugate(), c.conjugate(), k.conjugate()
+    return [
+        (one, zero, zero),
+        (zero, one, zero),
+        (zero, zero, one),
+        (zero, one, a),
+        (zero, astar, -one),
+        (one, zero, b),
+        (bstar, zero, -one),
+        (one, k, zero),
+        (kstar, -one, zero),
+        (astar * cstar, -astar, one),
+        (cstar, one, a),
+        (-cstar, one, a),
+        (astar * cstar, astar, -one),
+        (-bstar, bstar * c, one),
+        (one, c, b),
+        (one, -c, b),
+        (bstar, bstar * c, -one),
+        (-kstar, one, b * cstar),
+        (one, k, -(a * c)),
+        (one, k, a * c),
+        (kstar, -one, b * cstar),
+        (one, zero, a * c),
+        (one, -c, zero),
+        (one, c, zero),
+        (one, zero, -(a * c)),
+        (zero, one, b * cstar),
+        (-cstar, one, zero),
+        (cstar, one, zero),
+        (zero, one, -(b * cstar)),
+        (zero, bstar * c, one),
+        (astar * cstar, zero, one),
+        (-(astar * cstar), zero, one),
+        (zero, -(bstar * c), one),
+    ]
+
+
+#: Rows where the table equals minus the reference rows: the table follows
+#: the real catalog's signs, the reference rows agree with it only projectively.
+NEGATED_ROWS = {9, 12, 16, 19, 23, 25, 27, 29, 32, 33}
+
+
+def test_family_matches_reference_rows_at_every_quarter_turn():
+    i_pow = [ExactComplex.one(), ExactComplex.i(), -ExactComplex.one(), -ExactComplex.i()]
+    for turns in product(range(4), repeat=3):
+        rays = family_rays(FamilyParams(*(t * math.pi / 2 for t in turns)))
+        a, b, c = i_pow[turns[0]], i_pow[turns[1]], ExactComplex.sqrt2() * i_pow[turns[2]]
+        rows = reference_family_rows(a, b, c, ExactComplex.one(), ExactComplex.zero())
+        for ray, row in zip(rays, rows):
+            assert ray.is_exact
+            assert ray.key() == Ray(row).key()
+
+
+def test_family_matches_reference_rows_up_to_sign_at_generic_phases():
+    rng = Random(2024)
+    for _ in range(200):
+        alpha, beta, gamma = (rng.uniform(0, 2 * math.pi) for _ in range(3))
+        rays = family_rays(FamilyParams(alpha, beta, gamma))
+        a, b = cmath.exp(1j * alpha), cmath.exp(1j * beta)
+        c = math.sqrt(2) * cmath.exp(1j * gamma)
+        rows = reference_family_rows(a, b, c, complex(1), complex(0))
+        for index, (ray, row) in enumerate(zip(rays, rows), start=1):
+            sign = -1 if index in NEGATED_ROWS else 1
+            for got, want in zip(ray.components, row):
+                assert abs(got - sign * want) < 1e-13
+
+
+#: Unit phase added to components 1, 2, 3 by diag(1, e^{i theta}, e^{i phi}),
+#: as (theta, phi) coefficients.
+GAUGE_UNITARY = ((0, 0), (1, 0), (0, 1))
+#: Shift of (alpha, beta, gamma) per unit theta and per unit phi under the gauge map.
+THETA_SHIFT, PHI_SHIFT = (-1, 0, 1), (1, 1, 0)
+
+
+def dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def test_gauge_lemma_holds_on_the_phase_table():
+    # diag(1, e^{i theta}, e^{i phi}) maps family(alpha, beta, gamma) onto
+    # family(alpha + phi - theta, beta + phi, gamma + theta): a component with
+    # exponents e gains theta*(e . THETA_SHIFT) + phi*(e . PHI_SHIFT) there, so
+    # each ray must gain the unitary's phase plus one common phase.
+    for real, phases in zip(_REAL_TABLE, _PHASE_TABLE):
+        offsets = {
+            (dot(e, THETA_SHIFT) - t[0], dot(e, PHI_SHIFT) - t[1])
+            for n, e, t in zip(real, phases, GAUGE_UNITARY) if n
+        }
+        assert len(offsets) == 1
+    # s = alpha - beta + gamma is unchanged by the map
+    assert dot((1, -1, 1), THETA_SHIFT) == dot((1, -1, 1), PHI_SHIFT) == 0
+
+
+def test_gauge_lemma_spot_check_in_floats():
+    rng = Random(77)
+    for _ in range(20):
+        alpha, beta, gamma, theta, phi = (rng.uniform(0, 2 * math.pi) for _ in range(5))
+        unitary = (1, cmath.exp(1j * theta), cmath.exp(1j * phi))
+        before = family_rays(FamilyParams(alpha, beta, gamma))
+        after = family_rays(FamilyParams(alpha + phi - theta, beta + phi, gamma + theta))
+        for u, v in zip(before, after):
+            mapped = Ray(tuple(w * z for w, z in zip(unitary, u.components)))
+            assert 1 - overlap2(mapped, v) < 1e-15
 
 
 def test_rotated_family_rays_are_exact():

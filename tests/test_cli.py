@@ -243,7 +243,15 @@ def test_options_a_subcommand_does_not_read_exit_2(tmp_path, monkeypatch, capsys
     (["majorana", "--samples", "0"], "--samples: must be at least 1"),
     (["verify", "--set", "family", "--tol", "-1"], "--tol: must be positive"),
     (["majorana", "--tol", "0"], "--tol: must be positive"),
-], ids=["verify-samples-0", "majorana-samples-0", "verify-tol-negative", "majorana-tol-0"])
+    (["verify", "--set", "family", "--tol", "inf"], "--tol: must be finite"),
+    (["majorana", "--samples", "1", "--tol", "inf"], "--tol: must be finite"),
+    (["catalog", "--set", "family", "--alpha", "nan"], "--alpha: must be finite"),
+    (["catalog", "--set", "family", "--alpha", "inf"], "--alpha: must be finite"),
+    (["catalog", "--set", "family", "--beta=-inf"], "--beta: must be finite"),
+    (["catalog", "--set", "family", "--gamma", "nan"], "--gamma: must be finite"),
+], ids=["verify-samples-0", "majorana-samples-0", "verify-tol-negative", "majorana-tol-0",
+        "verify-tol-inf", "majorana-tol-inf", "catalog-alpha-nan", "catalog-alpha-inf",
+        "catalog-beta-minus-inf", "catalog-gamma-nan"])
 def test_vacuous_or_invalid_input_exits_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
