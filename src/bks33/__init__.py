@@ -1,90 +1,1 @@
 """Exact verification toolkit for the 33-ray Kochen-Specker constructions."""
-
-from .catalog import (
-    FamilyParams,
-    RayClass,
-    class_of,
-    family_rays,
-    penrose_from_family,
-    penrose_mpairs,
-    peres_rays,
-    recovered_penrose_mpairs,
-)
-from .kscolor import (
-    Color,
-    Coloring,
-    ConstraintSet,
-    ProofTrace,
-    criticality_audit,
-    propagate,
-    replay_proof,
-    validate_coloring,
-    verify_symmetry_reduction,
-)
-from .majorana import (
-    MPair,
-    MVector,
-    SpinState,
-    mpair_from_state,
-    mpairs_match,
-    overlap2_closed_form,
-    spinor_from_direction,
-    state_from_mpair,
-)
-from .orthograph import (
-    OrthoGraph,
-    TriadDyadDecomposition,
-    build_graph,
-    decompose,
-    induced_permutation,
-    is_automorphism,
-    reference_decomposition,
-    reference_graph,
-)
-from .rays import Ray, inner, is_orthogonal, overlap2
-from .scalar import DEFAULT_TOL, ExactComplex, QRoot2
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Color",
-    "Coloring",
-    "ConstraintSet",
-    "DEFAULT_TOL",
-    "ExactComplex",
-    "FamilyParams",
-    "MPair",
-    "MVector",
-    "OrthoGraph",
-    "ProofTrace",
-    "QRoot2",
-    "Ray",
-    "RayClass",
-    "SpinState",
-    "TriadDyadDecomposition",
-    "build_graph",
-    "class_of",
-    "criticality_audit",
-    "decompose",
-    "family_rays",
-    "induced_permutation",
-    "inner",
-    "is_automorphism",
-    "is_orthogonal",
-    "mpair_from_state",
-    "mpairs_match",
-    "overlap2",
-    "overlap2_closed_form",
-    "penrose_from_family",
-    "penrose_mpairs",
-    "peres_rays",
-    "propagate",
-    "recovered_penrose_mpairs",
-    "reference_decomposition",
-    "reference_graph",
-    "replay_proof",
-    "spinor_from_direction",
-    "state_from_mpair",
-    "validate_coloring",
-    "verify_symmetry_reduction",
-]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .majorana import MPair, MVector, mpair_from_state, SpinState
+from .majorana import MPair, MVector, mpair_from_state
 from .rays import Ray
 from .scalar import ExactComplex, QRoot2
 
@@ -280,8 +280,4 @@ def penrose_from_family() -> list[Ray]:
 
 def recovered_penrose_mpairs() -> list[MPair]:
     """M-vector pairs extracted from the rotated family rays (floating)."""
-    pairs = []
-    for ray in penrose_from_family():
-        c = [complex(comp) for comp in ray.components]
-        pairs.append(mpair_from_state(SpinState(c[0], c[1], c[2])))
-    return pairs
+    return [mpair_from_state(r) for r in penrose_from_family()]

@@ -268,14 +268,8 @@ def cmd_prove(args) -> int:
     if args.mode in ("replay", "both"):
         trace = kscolor.replay_proof(cs)
         replay_unsat = trace.contradiction is not None
-        report.add(
-            "replay_contradiction",
-            replay_unsat
-            and trace.choice_count == 2
-            and len(trace.green_rays) == 7
-            and tuple(sorted(trace.contradiction.constraint)) == (7, 15, 16),
-            trace=_trace_payload(trace),
-        )
+        # replay_proof raises unless it reproduces the documented proof
+        report.add("replay_contradiction", replay_unsat, trace=_trace_payload(trace))
     if args.mode in ("search", "both"):
         result = kscolor.search(cs)
         search_unsat = result.coloring is None
@@ -433,23 +427,19 @@ def cmd_majorana(args) -> int:
 # parser
 
 
-def _ray_or_all(text: str) -> str:
-    if text == "all":
-        return text
+def _ray_index(text: str) -> int:
     try:
         value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected 'all' or an integer, got {text!r}") from exc
-    if not 1 <= value <= 33:
-        raise argparse.ArgumentTypeError(f"ray index must be in 1..33, got {value}")
-    return text
-
-
-def _delete_ray(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= 33:
-        raise argparse.ArgumentTypeError(f"ray index must be in 1..33, got {value}")
+    except ValueError:
+        value = 0  # reported below, like an index out of range
+    if not 1 <= value <= orthograph.CATALOG_SIZE:
+        raise argparse.ArgumentTypeError(f"expected a ray index in 1..33, got {text!r}")
     return value
+
+
+def _ray_or_all(text: str) -> str:
+    """'all' or the canonical decimal of a ray index: one report per request."""
+    return text if text == "all" else str(_ray_index(text))
 
 
 def _positive_int(text: str) -> int:
@@ -512,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-cnf", help="write the coloring constraints as DIMACS CNF")
     p.add_argument("--out", required=True, help="output path")
-    p.add_argument("--delete", type=_delete_ray, default=None, help="delete one ray first")
+    p.add_argument("--delete", type=_ray_index, default=None, help="delete one ray first")
     p.set_defaults(func=cmd_export_cnf)
 
     p = sub.add_parser("majorana", help="cross-check the closed-form overlap machinery")
@@ -526,8 +516,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PHASE_OPTIONS = ("--alpha", "--beta", "--gamma")
+
+
+def _attach_phase_values(argv: Sequence[str]) -> list[str]:
+    """Attach each phase option's next token as ``--alpha=VALUE``: argparse
+    would read ``-1e-3`` or ``-inf`` there as an option, not as the value."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _PHASE_OPTIONS:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_phase_values(sys.argv[1:] if argv is None else argv))
     return args.func(args)
 
 

@@ -125,26 +125,6 @@ class MPair:
         return value < tol * tol
 
 
-@dataclass(frozen=True)
-class SpinState:
-    """Spin-1 components (c+, c0, c-) in the spin-z basis, up to phase and scale."""
-
-    c_plus: complex
-    c_zero: complex
-    c_minus: complex
-
-    def __post_init__(self) -> None:
-        if self.c_plus == 0 and self.c_zero == 0 and self.c_minus == 0:
-            raise ValueError("a spin state must be nonzero")
-
-    @property
-    def components(self) -> tuple[complex, complex, complex]:
-        return (self.c_plus, self.c_zero, self.c_minus)
-
-    def ray(self) -> Ray:
-        return Ray(self.components)
-
-
 def spinor_from_direction(v: MVector) -> tuple[complex, complex]:
     """Spin-1/2 spinor (cos t/2, e^{i phi} sin t/2) for the direction of v."""
     x, y, z = v.unit()
@@ -156,8 +136,8 @@ def spinor_from_direction(v: MVector) -> tuple[complex, complex]:
     return (complex(ca), phase * sa)
 
 
-def state_from_mpair(p: MPair) -> SpinState:
-    """Symmetrized product of the two spinors, normalized.
+def state_from_mpair(p: MPair) -> Ray:
+    """Symmetrized product of the two spinors, normalized, as a float ray.
 
     Components are (a1*a2, (a1*b2 + a2*b1)/sqrt2, b1*b2); the result does
     not depend on the pair ordering up to a global phase.
@@ -170,12 +150,13 @@ def state_from_mpair(p: MPair) -> SpinState:
     norm = math.sqrt(abs(cp) ** 2 + abs(c0) ** 2 + abs(cm) ** 2)
     if norm < 1e-15:
         raise DegenerateStateError("symmetrized spinor product is zero")
-    return SpinState(cp / norm, c0 / norm, cm / norm)
+    return Ray((cp / norm, c0 / norm, cm / norm))
 
 
-def _roots(s: SpinState) -> tuple[complex | None, complex | None]:
+def _roots(s: Ray) -> tuple[complex | None, complex | None]:
     """Roots of c+ t^2 - sqrt2 c0 t + c-; None encodes a root at infinity."""
-    a, b, c = s.c_plus, -_SQRT2 * s.c_zero, s.c_minus
+    a, c0, c = (complex(x) for x in s.components)
+    b = -_SQRT2 * c0
     if a == 0:
         if b == 0:
             return (None, None)
@@ -201,8 +182,8 @@ def _direction(root: complex | None) -> MVector:
     return MVector(2.0 * root.real / d, 2.0 * root.imag / d, (1.0 - m2) / d)
 
 
-def mpair_from_state(s: SpinState) -> MPair:
-    """M-vectors of a state: quadratic roots pulled back to the sphere."""
+def mpair_from_state(s: Ray) -> MPair:
+    """M-vectors of an exact or float state: quadratic roots pulled back to the sphere."""
     r1, r2 = _roots(s)
     return MPair(_direction(r1), _direction(r2))
 
@@ -233,9 +214,9 @@ def overlap2_closed_form(pa: MPair, pb: MPair) -> RealScalar:
     return num / den
 
 
-def state_overlap2(sa: SpinState, sb: SpinState) -> float:
-    """Normalized squared overlap of two explicit states."""
-    return overlap2(sa.ray(), sb.ray())
+def state_overlap2(sa: Ray, sb: Ray) -> float:
+    """``overlap2``, kept under the name ``perfbench/bench_workloads.py`` calls."""
+    return overlap2(sa, sb)
 
 
 def mpairs_match(p: MPair, q: MPair, tol: float = 1e-7) -> bool:

@@ -33,7 +33,6 @@ from bks33.kscolor import (
 from bks33.majorana import (
     MPair,
     MVector,
-    SpinState,
     mpair_from_state,
     mpairs_match,
     overlap2_closed_form,
@@ -51,7 +50,7 @@ from bks33.orthograph import (
     reference_decomposition,
     reference_graph,
 )
-from bks33.rays import overlap2
+from bks33.rays import Ray, overlap2
 from bks33.scalar import ExactComplex, QRoot2
 
 
@@ -247,11 +246,11 @@ def test_criterion_7_majorana_consistency():
 
     worst_roundtrip = 0.0
     for _ in range(1000):
-        state = SpinState(
+        state = Ray((
             complex(rng.gauss(0, 1), rng.gauss(0, 1)),
             complex(rng.gauss(0, 1), rng.gauss(0, 1)),
             complex(rng.gauss(0, 1), rng.gauss(0, 1)),
-        )
+        ))
         back = state_from_mpair(mpair_from_state(state))
         worst_roundtrip = max(worst_roundtrip, 1.0 - state_overlap2(state, back))
 

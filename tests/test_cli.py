@@ -47,6 +47,15 @@ def test_catalog_family_reports_unit_k(capsys):
     assert payload["k_modulus"] == pytest.approx(1, abs=1e-12)
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-1E3", "-.5e1", "-1.5"])
+def test_catalog_negative_phase_after_space_reads_as_value(capsys, value):
+    # argparse alone would take "-1e-3" for an option after "--alpha"
+    spaced = run(capsys, "catalog", "--set", "family", "--alpha", value)
+    attached = run(capsys, "catalog", "--set", "family", f"--alpha={value}")
+    assert spaced[0] == 0
+    assert spaced == attached
+
+
 def test_catalog_csv_round_trips(capsys):
     code, out = run(capsys, "catalog", "--set", "peres", "--format", "csv")
     assert code == 0
@@ -140,6 +149,13 @@ def test_critical_all(capsys):
     report = json.loads(out)
     names = {c["name"]: c for c in report["checks"]}
     assert names["all_33_deletions_colorable"]["details"]["colorable"] == 33
+
+
+def test_critical_reports_the_canonical_ray_index(capsys):
+    _, canonical = run(capsys, "critical", "--ray", "5", "--json")
+    assert json.loads(canonical)["params"] == {"ray": "5"}
+    for spelling in ("05", " 5", "+5"):
+        assert run(capsys, "critical", "--ray", spelling, "--json") == (0, canonical)
 
 
 def test_critical_rejects_out_of_range_ray(capsys):
@@ -247,11 +263,12 @@ def test_options_a_subcommand_does_not_read_exit_2(tmp_path, monkeypatch, capsys
     (["majorana", "--samples", "1", "--tol", "inf"], "--tol: must be finite"),
     (["catalog", "--set", "family", "--alpha", "nan"], "--alpha: must be finite"),
     (["catalog", "--set", "family", "--alpha", "inf"], "--alpha: must be finite"),
+    (["catalog", "--set", "family", "--alpha", "-inf"], "--alpha: must be finite"),
     (["catalog", "--set", "family", "--beta=-inf"], "--beta: must be finite"),
     (["catalog", "--set", "family", "--gamma", "nan"], "--gamma: must be finite"),
 ], ids=["verify-samples-0", "majorana-samples-0", "verify-tol-negative", "majorana-tol-0",
         "verify-tol-inf", "majorana-tol-inf", "catalog-alpha-nan", "catalog-alpha-inf",
-        "catalog-beta-minus-inf", "catalog-gamma-nan"])
+        "catalog-alpha-minus-inf", "catalog-beta-minus-inf", "catalog-gamma-nan"])
 def test_vacuous_or_invalid_input_exits_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)

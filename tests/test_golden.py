@@ -8,6 +8,9 @@ same command, for example
 and list the change in CHANGES.md.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ import pytest
 from bks33 import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = GOLDEN.parent.parent / "src"
 
 REPORTS = {
     **{f"catalog-{s}.json": ["catalog", "--set", s, "--format", "json"]
@@ -43,3 +47,13 @@ def test_cnf_export_matches_golden(tmp_path, name):
     out = tmp_path / name
     assert cli.main(["export-cnf", "--out", str(out), *CNF_EXPORTS[name]]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["verify-peres.json", "prove.json"])
+def test_module_entry_point_matches_golden(name):
+    # a fresh interpreter runs ``python -m bks33``: __main__.py, not cli.main
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run([sys.executable, "-m", "bks33", *REPORTS[name]],
+                         capture_output=True, env=env, check=False)
+    assert run.returncode == 0, run.stderr.decode()
+    assert run.stdout == (GOLDEN / name).read_bytes()

@@ -5,11 +5,10 @@ from random import Random
 
 import pytest
 
-from bks33.catalog import penrose_mpairs
+from bks33.catalog import penrose_from_family, penrose_mpairs
 from bks33.majorana import (
     MPair,
     MVector,
-    SpinState,
     mpair_from_state,
     mpairs_match,
     overlap2_closed_form,
@@ -20,6 +19,7 @@ from bks33.majorana import (
     unit_dot,
 )
 from bks33.orthograph import reference_decomposition
+from bks33.rays import Ray
 from bks33.scalar import QRoot2
 
 PLUS_Z = MVector(0, 0, 1)
@@ -27,7 +27,7 @@ MINUS_Z = MVector(0, 0, -1)
 PLUS_X = MVector(1, 0, 0)
 
 
-def assert_state_close(s: SpinState, expected, tol=1e-12):
+def assert_state_close(s: Ray, expected, tol=1e-12):
     got = s.components
     # align global phase on the largest expected component
     pivot = max(range(3), key=lambda i: abs(expected[i]))
@@ -55,9 +55,18 @@ def test_state_anchors():
 
 
 def test_root_extraction_anchors():
-    assert mpairs_match(mpair_from_state(SpinState(1, 0, 0)), MPair(PLUS_Z, PLUS_Z), tol=1e-12)
-    assert mpairs_match(mpair_from_state(SpinState(0, 0, 1)), MPair(MINUS_Z, MINUS_Z), tol=1e-12)
-    assert mpairs_match(mpair_from_state(SpinState(0, 1, 0)), MPair(PLUS_Z, MINUS_Z), tol=1e-12)
+    assert mpairs_match(mpair_from_state(Ray((1, 0, 0))), MPair(PLUS_Z, PLUS_Z), tol=1e-12)
+    assert mpairs_match(mpair_from_state(Ray((0, 0, 1))), MPair(MINUS_Z, MINUS_Z), tol=1e-12)
+    assert mpairs_match(mpair_from_state(Ray((0, 1, 0))), MPair(PLUS_Z, MINUS_Z), tol=1e-12)
+
+
+def test_exact_state_extracts_like_its_complex_copy():
+    # an exact ray reads complex() of each component, as the complex copy
+    # of the ray holds them, so both give the same pair to the last bit
+    for ray in penrose_from_family():
+        assert ray.is_exact
+        copy = Ray(tuple(complex(c) for c in ray.components))
+        assert mpair_from_state(ray) == mpair_from_state(copy)
 
 
 def test_doubled_pair_state_matches_catalog_orthogonalities():
@@ -118,7 +127,7 @@ def test_roundtrip_random_states():
         comps = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3)]
         if all(abs(c) < 1e-6 for c in comps):
             continue
-        state = SpinState(*comps)
+        state = Ray(tuple(comps))
         back = state_from_mpair(mpair_from_state(state))
         worst = max(worst, 1.0 - state_overlap2(state, back))
     assert worst < 1e-8
