@@ -19,7 +19,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .majorana import MPair, MVector, mpair_from_state
 from .rays import Ray
@@ -203,7 +202,7 @@ class FamilyParams:
         return cls(-_HALF_PI, math.pi, math.pi)
 
 
-_I_POWERS = (ExactComplex.one(), ExactComplex.i(), -ExactComplex.one(), -ExactComplex.i())
+_I_POWERS = (ExactComplex(1), ExactComplex(0, 1), ExactComplex(-1), ExactComplex(0, -1))
 
 
 def _quarter_turns(unit: complex) -> int | None:
@@ -242,22 +241,14 @@ def family_rays(params: FamilyParams) -> list[Ray]:
     ]
 
 
-def _recovery_rotation() -> tuple[tuple[ExactComplex, ...], ...]:
-    s = QRoot2(0, Fraction(1, 2))          # 1/sqrt2
-    scaled_one = ExactComplex(s)
-    zero = ExactComplex.zero()
-    return (
-        (scaled_one, scaled_one, zero),
-        (zero, zero, ExactComplex(QRoot2.sqrt2() * s)),
-        (-scaled_one, scaled_one, zero),
-    )
-
-
 #: Unitary change of basis applied to the family at the complex special
-#: point before M-vector extraction.  The matrix with rows (1, 1, 0),
-#: (0, 0, sqrt2), (-1, 1, 0) is sqrt2 times a unitary, so it is scaled by
-#: 1/sqrt2 here; projective results are unaffected.
-RECOVERY_ROTATION: tuple[tuple[ExactComplex, ...], ...] = _recovery_rotation()
+#: point before M-vector extraction.  The integer rows below (2 encodes
+#: sqrt2, as in _REAL_TABLE) are sqrt2 times a unitary, so every entry is
+#: divided by sqrt2; projective results are unaffected.
+RECOVERY_ROTATION: tuple[tuple[ExactComplex, ...], ...] = tuple(
+    tuple(_EXACT_ENTRIES[n] / _EXACT_ENTRIES[2] for n in row)
+    for row in ((1, 1, 0), (0, 0, 2), (-1, 1, 0))
+)
 
 
 def penrose_from_family() -> list[Ray]:

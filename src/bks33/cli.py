@@ -15,7 +15,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from random import Random
 from typing import Sequence
@@ -31,7 +30,7 @@ DEFAULT_SEED = 42
 #: Squared 9-14 overlap witnesses: ((2-sqrt2)/4)^2 for the real catalog,
 #: (sqrt6/4)^2 for the complex one.
 REAL_WITNESS_OVERLAP2 = (QRoot2(2, -1) / 4) * (QRoot2(2, -1) / 4)
-COMPLEX_WITNESS_OVERLAP2 = QRoot2(Fraction(3, 8))
+COMPLEX_WITNESS_OVERLAP2 = QRoot2(3) / 8
 
 
 @dataclass
@@ -467,13 +466,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bks33",
         description="Verification suite for the 33-ray Kochen-Specker constructions.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name: str, summary: str) -> argparse.ArgumentParser:
+        # no abbreviations: each option has exactly one spelling
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
 
     json_help = "emit a JSON report"
     seed_help = "RNG seed (printed in the report)"
 
-    p = sub.add_parser("catalog", help="dump one of the three catalogs")
+    p = add("catalog", "dump one of the three catalogs")
     p.add_argument("--set", choices=("peres", "penrose", "family"), required=True)
     p.add_argument("--alpha", type=_finite_float, default=0.0)
     p.add_argument("--beta", type=_finite_float, default=0.0)
@@ -481,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("verify", help="check a catalog against the reference diagram")
+    p = add("verify", "check a catalog against the reference diagram")
     p.add_argument("--set", choices=("peres", "penrose", "family"), required=True)
     p.add_argument("--samples", type=_positive_int, default=50, help="random family samples")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=seed_help)
@@ -490,22 +494,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help=json_help)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("prove", help="replay and/or search the non-colorability proof")
+    p = add("prove", "replay and/or search the non-colorability proof")
     p.add_argument("--mode", choices=("replay", "search", "both"), default="both")
     p.add_argument("--json", action="store_true", help=json_help)
     p.set_defaults(func=cmd_prove)
 
-    p = sub.add_parser("critical", help="audit single-ray deletions for colorability")
+    p = add("critical", "audit single-ray deletions for colorability")
     p.add_argument("--ray", type=_ray_or_all, default="all", help="'all' or an index in 1..33")
     p.add_argument("--json", action="store_true", help=json_help)
     p.set_defaults(func=cmd_critical)
 
-    p = sub.add_parser("export-cnf", help="write the coloring constraints as DIMACS CNF")
+    p = add("export-cnf", "write the coloring constraints as DIMACS CNF")
     p.add_argument("--out", required=True, help="output path")
     p.add_argument("--delete", type=_ray_index, default=None, help="delete one ray first")
     p.set_defaults(func=cmd_export_cnf)
 
-    p = sub.add_parser("majorana", help="cross-check the closed-form overlap machinery")
+    p = add("majorana", "cross-check the closed-form overlap machinery")
     p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=seed_help)
     p.add_argument("--tol", type=_positive_float, default=1e-10,

@@ -29,9 +29,7 @@ from .orthograph import (
     IndexPermutation,
     OrthoGraph,
     ROTATION_111,
-    RotationMatrix,
     X_AXIS_ROTATIONS,
-    build_graph,
     decompose,
     induced_permutation,
     is_automorphism,
@@ -275,10 +273,6 @@ class ProofTrace:
                 greens.add(step.ray)
         return frozenset(greens)
 
-    @property
-    def choice_count(self) -> int:
-        return sum(1 for s in self.steps if isinstance(s, Choice))
-
 
 # The documented seven-green proof: first choice and its forced reds,
 # second choice, the forced greens, and the terminal all-red triad.
@@ -342,20 +336,16 @@ def replay_proof(cs: ConstraintSet) -> ProofTrace:
     return trace
 
 
-#: Alternative second-choice pairs and the picked one they must map onto.
+#: Alternative second-choice pairs, each mapped onto _PROOF_SECOND_GREENS.
 ALTERNATIVE_SECOND_PAIRS: tuple[frozenset[int], ...] = (
     frozenset({10, 12}), frozenset({13, 12}), frozenset({11, 13}),
 )
-_PICKED_SECOND_PAIR = frozenset({10, 11})
 
 
 @dataclass(frozen=True)
 class SymmetryReport:
     """Outcome of checking that the two proof choices lose no generality."""
 
-    body_diagonal_is_automorphism: bool
-    body_diagonal_cycles_first_triad: bool
-    x_rotation_automorphisms: dict[int, bool]
     pair_rotations: dict[frozenset[int], int | None]
     failures: tuple[str, ...]
 
@@ -364,34 +354,29 @@ class SymmetryReport:
         return not self.failures
 
 
-def verify_symmetry_reduction(catalog: Catalog, g: OrthoGraph | None = None) -> SymmetryReport:
-    """Check the symmetry claims behind the two-choice proof.
+def verify_symmetry_reduction(catalog: Catalog, g: OrthoGraph) -> SymmetryReport:
+    """Check the symmetry claims behind the two-choice proof on the
+    catalog's graph ``g``.
 
     Confirms that the body-diagonal rotation is a graph automorphism cycling
     rays 1 -> 2 -> 3 -> 1, and that each alternative second-choice pair maps
     onto (10, 11) under some x-axis rotation that fixes ray 1 and permutes
     the eight rays forced red by the first choice among themselves.
     """
-    if g is None:
-        g = build_graph(catalog)
     failures: list[str] = []
 
     perm111 = induced_permutation(ROTATION_111, catalog)
-    body_auto = is_automorphism(perm111, g)
-    if not body_auto:
+    if not is_automorphism(perm111, g):
         failures.append("body-diagonal permutation is not an automorphism")
-    cycles = perm111[1] == 2 and perm111[2] == 3 and perm111[3] == 1
-    if not cycles:
+    if not (perm111[1] == 2 and perm111[2] == 3 and perm111[3] == 1):
         failures.append("body-diagonal rotation does not cycle rays 1, 2, 3")
 
-    red_set = g.neighbors(1)
+    first, second = _PROOF_FIRST_GREEN, frozenset(_PROOF_SECOND_GREENS)
+    red_set = g.neighbors(first)
     x_perms: dict[int, IndexPermutation] = {}
-    x_autos: dict[int, bool] = {}
     for angle, rotation in X_AXIS_ROTATIONS.items():
-        perm = induced_permutation(rotation, catalog)
-        x_perms[angle] = perm
-        x_autos[angle] = is_automorphism(perm, g)
-        if not x_autos[angle]:
+        x_perms[angle] = perm = induced_permutation(rotation, catalog)
+        if not is_automorphism(perm, g):
             failures.append(f"x-axis {angle} degree permutation is not an automorphism")
 
     pair_rotations: dict[frozenset[int], int | None] = {}
@@ -400,23 +385,17 @@ def verify_symmetry_reduction(catalog: Catalog, g: OrthoGraph | None = None) -> 
         for angle in sorted(x_perms):
             perm = x_perms[angle]
             if (
-                perm[1] == 1
-                and frozenset(perm[m] for m in pair) == _PICKED_SECOND_PAIR
+                perm[first] == first
+                and frozenset(perm[m] for m in pair) == second
                 and frozenset(perm[r] for r in red_set) == red_set
             ):
                 found = angle
                 break
         pair_rotations[pair] = found
         if found is None:
-            failures.append(f"no x-axis rotation maps {sorted(pair)} onto (10, 11)")
+            failures.append(f"no x-axis rotation maps {sorted(pair)} onto {_PROOF_SECOND_GREENS}")
 
-    return SymmetryReport(
-        body_diagonal_is_automorphism=body_auto,
-        body_diagonal_cycles_first_triad=cycles,
-        x_rotation_automorphisms=x_autos,
-        pair_rotations=pair_rotations,
-        failures=tuple(failures),
-    )
+    return SymmetryReport(pair_rotations, tuple(failures))
 
 
 def criticality_audit(g: OrthoGraph) -> dict[int, Coloring]:

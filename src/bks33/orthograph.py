@@ -39,9 +39,6 @@ class OrthoGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _edge(u, v) in self.edges
-
     @cached_property
     def _adjacency(self) -> dict[int, frozenset[int]]:
         adj: dict[int, set[int]] = {v: set() for v in self.vertices}
@@ -77,10 +74,6 @@ class TriadDyadDecomposition:
 
     triads: tuple[tuple[int, int, int], ...]
     dyads: tuple[Edge, ...]
-
-    @property
-    def edge_count(self) -> int:
-        return 3 * len(self.triads) + len(self.dyads)
 
     def edges(self) -> frozenset[Edge]:
         out: set[Edge] = set(self.dyads)

@@ -10,10 +10,7 @@ double-precision approximation of either (``float(x)`` for ``QRoot2``).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Union
-
-RationalLike = Union[int, Fraction]
 
 DEFAULT_TOL = 1e-9
 
@@ -37,7 +34,7 @@ def _qroot2(p: int, q: int, den: int) -> QRoot2:
 def _lift(value: object) -> QRoot2 | None:
     if isinstance(value, QRoot2):
         return value
-    return QRoot2(value) if isinstance(value, (int, Fraction)) else None
+    return _qroot2(value, 0, 1) if type(value) is int else None
 
 
 class QRoot2:
@@ -45,25 +42,17 @@ class QRoot2:
     and den > 0, which makes the representation unique.
 
     Values are treated as immutable.  Equality, ordering, and the zero test
-    are exact; arithmetic never leaves the field.  ``int`` and ``Fraction``
-    parts are accepted by the constructor only.  Rational values hash like
-    the equal ``int`` or ``Fraction``.
+    are exact; arithmetic never leaves the field.  Parts are ``int``, and
+    operands ``int`` or ``QRoot2``.  An integer value hashes like the equal
+    ``int``.
     """
 
     __slots__ = ("_p", "_q", "_den")
 
-    def __new__(cls, p: RationalLike = 0, q: RationalLike = 0) -> QRoot2:
-        if type(p) is int and type(q) is int:
-            return _qroot2(p, q, 1)
-        if not (isinstance(p, (int, Fraction)) and isinstance(q, (int, Fraction))):
-            raise TypeError(f"expected int or Fraction parts, got {p!r} and {q!r}")
-        p, q = Fraction(p), Fraction(q)
-        den = math.lcm(p.denominator, q.denominator)
-        return _qroot2(p.numerator * (den // p.denominator), q.numerator * (den // q.denominator), den)
-
-    @classmethod
-    def sqrt2(cls) -> QRoot2:
-        return _qroot2(0, 1, 1)
+    def __new__(cls, p: int = 0, q: int = 0) -> QRoot2:
+        if type(p) is not int or type(q) is not int:
+            raise TypeError(f"expected int parts, got {p!r} and {q!r}")
+        return _qroot2(p, q, 1)
 
     def __add__(self, other: object) -> QRoot2:
         o = _lift(other)
@@ -117,10 +106,9 @@ class QRoot2:
         return self._p == o._p and self._q == o._q and self._den == o._den
 
     def __hash__(self) -> int:
-        if self._q:
+        if self._q or self._den != 1:
             return hash((self._p, self._q, self._den))
-        # equal to the hash of the int or Fraction of the same value
-        return hash(self._p) if self._den == 1 else hash(Fraction(self._p, self._den))
+        return hash(self._p)  # equal to the hash of the same int
 
     def __bool__(self) -> bool:
         return bool(self._p or self._q)
@@ -165,7 +153,7 @@ class QRoot2:
         return self._p / self._den + self._q / self._den * _SQRT2
 
     def __repr__(self) -> str:
-        return f"QRoot2({Fraction(self._p, self._den)}, {Fraction(self._q, self._den)})"
+        return f"QRoot2({self.canonical_str()})"
 
     def canonical_str(self) -> str:
         """Canonical form ``(a+b*sqrt2)/d`` with gcd(a, b, d) = 1 and d > 0."""
@@ -197,25 +185,9 @@ class ExactComplex:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: RationalLike | QRoot2 = 0, im: RationalLike | QRoot2 = 0) -> None:
+    def __init__(self, re: int | QRoot2 = 0, im: int | QRoot2 = 0) -> None:
         self.re = re if isinstance(re, QRoot2) else QRoot2(re)
         self.im = im if isinstance(im, QRoot2) else QRoot2(im)
-
-    @classmethod
-    def zero(cls) -> ExactComplex:
-        return cls(0, 0)
-
-    @classmethod
-    def one(cls) -> ExactComplex:
-        return cls(1, 0)
-
-    @classmethod
-    def i(cls) -> ExactComplex:
-        return cls(0, 1)
-
-    @classmethod
-    def sqrt2(cls) -> ExactComplex:
-        return cls(QRoot2.sqrt2(), QRoot2())
 
     @property
     def real(self) -> QRoot2:

@@ -8,6 +8,7 @@ import pytest
 from bks33.catalog import (
     _PHASE_TABLE,
     _REAL_TABLE,
+    RECOVERY_ROTATION,
     FamilyParams,
     RayClass,
     class_of,
@@ -20,6 +21,8 @@ from bks33.catalog import (
 from bks33.majorana import MPair, MVector, mpairs_match
 from bks33.rays import Ray, overlap2
 from bks33.scalar import ExactComplex, QRoot2
+
+ONE, I, SQRT2 = ExactComplex(1), ExactComplex(0, 1), ExactComplex(QRoot2(0, 1))
 
 
 def exact(*entries):
@@ -94,10 +97,9 @@ def test_family_at_real_point_matches_real_catalog_projectively():
 
 def test_family_special_scalars_are_exact():
     # a, b and c are the third components of rays 4 and 6 and the second of ray 15
-    i = ExactComplex.i()
     for params, (a, b, c) in [
-        (FamilyParams.peres_point(), (ExactComplex.one(), ExactComplex.one(), ExactComplex.sqrt2())),
-        (FamilyParams.penrose_point(), (-i, -ExactComplex.one(), -ExactComplex.sqrt2())),
+        (FamilyParams.peres_point(), (ONE, ONE, SQRT2)),
+        (FamilyParams.penrose_point(), (-I, -ONE, -SQRT2)),
     ]:
         rays = family_rays(params)
         assert all(ray.is_exact for ray in rays)
@@ -198,11 +200,11 @@ NEGATED_ROWS = {9, 12, 16, 19, 23, 25, 27, 29, 32, 33}
 
 
 def test_family_matches_reference_rows_at_every_quarter_turn():
-    i_pow = [ExactComplex.one(), ExactComplex.i(), -ExactComplex.one(), -ExactComplex.i()]
+    i_pow = [ONE, I, -ONE, -I]
     for turns in product(range(4), repeat=3):
         rays = family_rays(FamilyParams(*(t * math.pi / 2 for t in turns)))
-        a, b, c = i_pow[turns[0]], i_pow[turns[1]], ExactComplex.sqrt2() * i_pow[turns[2]]
-        rows = reference_family_rows(a, b, c, ExactComplex.one(), ExactComplex.zero())
+        a, b, c = i_pow[turns[0]], i_pow[turns[1]], SQRT2 * i_pow[turns[2]]
+        rows = reference_family_rows(a, b, c, ONE, ExactComplex(0))
         for ray, row in zip(rays, rows):
             assert ray.is_exact
             assert ray.key() == Ray(row).key()
@@ -258,6 +260,14 @@ def test_gauge_lemma_spot_check_in_floats():
         for u, v in zip(before, after):
             mapped = Ray(tuple(w * z for w, z in zip(unitary, u.components)))
             assert 1 - overlap2(mapped, v) < 1e-15
+
+
+def test_recovery_rotation_is_unitary():
+    # exact in Q(sqrt2, i): the rows scaled by 1/sqrt2 are orthonormal
+    for j, row in enumerate(RECOVERY_ROTATION):
+        for k, other in enumerate(RECOVERY_ROTATION):
+            product = sum((x.conjugate() * y for x, y in zip(row, other)), ExactComplex(0))
+            assert product == (1 if j == k else 0)
 
 
 def test_rotated_family_rays_are_exact():

@@ -56,6 +56,20 @@ def test_catalog_negative_phase_after_space_reads_as_value(capsys, value):
     assert spaced == attached
 
 
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--set", "family", "--alp", "-1e-3"],
+    ["catalog", "--set", "family", "--alp=-1e-3"],
+    ["verify", "--set", "peres", "--js"],
+    ["--he"],
+], ids=["alp-spaced", "alp-attached", "verify-js", "top-level-he"])
+def test_abbreviated_options_exit_2(capsys, argv):
+    # every option has one spelling: argparse would otherwise accept prefixes
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_catalog_csv_round_trips(capsys):
     code, out = run(capsys, "catalog", "--set", "peres", "--format", "csv")
     assert code == 0

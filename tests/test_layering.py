@@ -2,7 +2,8 @@
 
 Each layer module imports only the layers below it, ``__main__`` only the
 CLI, and the package root binds no public name: callers import from the
-modules themselves.
+modules themselves.  No module imports ``fractions``: exact values are
+built from ``int`` parts.
 """
 
 import ast
@@ -56,3 +57,15 @@ def test_modules_import_only_lower_layers():
 def test_package_root_binds_no_public_name():
     names = bound_names(ast.parse((PACKAGE / "__init__.py").read_text()))
     assert not {n for n in names if not n.startswith("_")}
+
+
+def test_no_module_imports_fractions():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert "fractions" not in [m.split(".")[0] for m in modules], path.name

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 from itertools import combinations
 from random import Random
 
@@ -90,7 +89,7 @@ def test_closed_form_same_pair_is_one():
 def test_closed_form_catalog_values():
     pairs = penrose_mpairs()
     assert overlap2_closed_form(pairs[0], pairs[1]) == 0
-    assert overlap2_closed_form(pairs[8], pairs[13]) == QRoot2(Fraction(3, 8))
+    assert overlap2_closed_form(pairs[8], pairs[13]) == QRoot2(3) / 8
 
 
 def test_closed_form_catalog_sweep_zero_pattern():
@@ -159,7 +158,7 @@ def test_denominator_positivity():
 def test_unit_dot_exact_path():
     assert unit_dot(MVector(0, 1, 1), MVector(0, 1, -1)) == 0
     assert unit_dot(MVector(1, 0, 0), MVector(0, 1, 1)) == 0
-    assert unit_dot(MVector(1, 1, 0), MVector(1, 0, 0)) == QRoot2(0, Fraction(1, 2))
+    assert unit_dot(MVector(1, 1, 0), MVector(1, 0, 0)) == QRoot2(0, 1) / 2
     assert unit_dot(MVector(1, 1, 0), MVector(-1, -1, 0)) == -1
 
 

@@ -11,12 +11,19 @@ from bks33.kscolor import verify_symmetry_reduction
 from bks33.orthograph import build_graph
 from bks33.scalar import ExactComplex, QRoot2, abs2
 
-SQRT2 = ExactComplex.sqrt2()
-I = ExactComplex.i()
-ONE = ExactComplex.one()
+SQRT2 = ExactComplex(QRoot2(0, 1))
+I = ExactComplex(0, 1)
+ONE = ExactComplex(1)
+
+
+def from_fractions(p: Fraction, q: Fraction) -> QRoot2:
+    """p + q*sqrt2, built from integers: QRoot2 takes no Fraction."""
+    d = math.lcm(p.denominator, q.denominator)
+    return QRoot2(int(p * d), int(q * d)) / d
+
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
-qroot2s = st.builds(QRoot2, small_fractions, small_fractions)
+qroot2s = st.builds(from_fractions, small_fractions, small_fractions)
 exacts = st.builds(ExactComplex, qroot2s, qroot2s)
 nonzero_exacts = exacts.filter(bool)
 
@@ -41,14 +48,14 @@ def test_conjugation_examples():
 
 def test_complex_conversion_examples():
     assert complex(SQRT2) == pytest.approx(1.4142135623730951, abs=1e-14)
-    assert complex(QRoot2.sqrt2()) == pytest.approx(1.4142135623730951, abs=1e-14)
-    assert complex(ExactComplex.zero()) == 0
+    assert complex(QRoot2(0, 1)) == pytest.approx(1.4142135623730951, abs=1e-14)
+    assert complex(ExactComplex(0)) == 0
     assert complex(ONE - SQRT2).real == pytest.approx(-0.41421356237, abs=1e-11)
 
 
 def test_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        ONE / ExactComplex.zero()
+        ONE / ExactComplex(0)
     with pytest.raises(ZeroDivisionError):
         QRoot2(1) / QRoot2()
 
@@ -65,7 +72,7 @@ def test_qroot2_signs():
 def test_qroot2_sqrt():
     assert QRoot2(4).sqrt() == QRoot2(2)
     assert QRoot2(2).sqrt() == QRoot2(0, 1)
-    assert QRoot2(Fraction(1, 2)).sqrt() == QRoot2(0, Fraction(1, 2))
+    assert (QRoot2(1) / 2).sqrt() == QRoot2(0, 1) / 2
     with pytest.raises(ValueError):
         QRoot2(3).sqrt()
     with pytest.raises(ValueError):
@@ -74,18 +81,31 @@ def test_qroot2_sqrt():
 
 def test_canonical_strings():
     assert (QRoot2(2, -1) / 4).canonical_str() == "(2-1*sqrt2)/4"
-    assert QRoot2(Fraction(3, 8)).canonical_str() == "3/8"
+    assert (QRoot2(3) / 8).canonical_str() == "3/8"
     assert QRoot2().canonical_str() == "0"
     assert QRoot2(0, 1).canonical_str() == "1*sqrt2"
     assert QRoot2(-1).canonical_str() == "-1"
-    assert QRoot2(Fraction(6, 16), Fraction(-4, 16)).canonical_str() == "(3-2*sqrt2)/8"
+    assert (QRoot2(6, -4) / 16).canonical_str() == "(3-2*sqrt2)/8"
     assert str(-I) == "(-1)*i"
     assert str(ONE + I) == "(1)+(1)*i"
 
 
 def test_hash_consistency_with_plain_numbers():
-    assert QRoot2(2) == 2 and hash(QRoot2(2)) == hash(2)
-    assert ExactComplex(QRoot2(Fraction(1, 2))) == Fraction(1, 2)
+    assert QRoot2(3) == 3 and hash(QRoot2(3)) == hash(3)
+    half = QRoot2(1) / 2
+    assert ExactComplex(half) == half and hash(ExactComplex(half)) == hash(half)
+
+
+def test_fraction_parts_and_operands_rejected():
+    with pytest.raises(TypeError):
+        QRoot2(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        QRoot2(1) + Fraction(1, 2)
+    with pytest.raises(TypeError):
+        ExactComplex(Fraction(1, 3))
+    with pytest.raises(TypeError):
+        ONE * Fraction(1, 2)
+    assert QRoot2(1) / 2 != Fraction(1, 2)
 
 
 @given(exacts, exacts, exacts)
@@ -194,7 +214,7 @@ fraction_pairs = st.tuples(wide_fractions, wide_fractions)
 @settings(max_examples=300)
 @given(fraction_pairs, fraction_pairs)
 def test_kernel_matches_fraction_pair_reference(x, y):
-    qx, qy = QRoot2(*x), QRoot2(*y)
+    qx, qy = from_fractions(*x), from_fractions(*y)
     results = [
         (qx, x),
         (qx + qy, (x[0] + y[0], x[1] + y[1])),
@@ -204,7 +224,7 @@ def test_kernel_matches_fraction_pair_reference(x, y):
     if any(y):
         results.append((qx / qy, ref_div(x, y)))
     for got, want in results:
-        assert got == QRoot2(*want)
+        assert got == from_fractions(*want)
         assert got.sign() == ref_sign(want)
         assert got.canonical_str() == ref_canonical_str(want)
     assert (qx == qy) == (x == y)
@@ -216,20 +236,19 @@ def test_unreduced_inputs_give_one_value(a, b, d, k):
     unreduced = QRoot2(a * k, b * k) / (d * k)
     assert unreduced == reduced
     assert hash(unreduced) == hash(reduced)
-    assert QRoot2(Fraction(a, d), Fraction(b, d)) == reduced
 
 
 @given(st.integers(-10**30, 10**30), st.integers(1, 10**30))
-def test_rational_hash_matches_int_and_fraction(n, d):
+def test_integer_value_hash_matches_int(n, d):
     assert hash(QRoot2(n)) == hash(n)
-    assert hash(QRoot2(Fraction(n, d))) == hash(Fraction(n, d))
-    assert hash(QRoot2(n) / d) == hash(Fraction(n, d))
+    assert hash(QRoot2(n * d) / d) == hash(n)
 
 
 def test_rational_hash_edge_cases():
     modulus = sys.hash_info.modulus
-    for value in (Fraction(-1), Fraction(-1, 2), Fraction(1, modulus), Fraction(-3, 2 * modulus)):
+    for value in (-1, -2, modulus, -modulus, modulus + 1, 2**64):
         assert hash(QRoot2(value)) == hash(value)
+        assert hash(QRoot2(3 * value) / 3) == hash(value)
 
 
 @pytest.mark.parametrize("entries", [peres_rays, penrose_mpairs])
