@@ -32,6 +32,9 @@ DEFAULT_SEED = 42
 REAL_WITNESS_OVERLAP2 = (QRoot2(2, -1) / 4) * (QRoot2(2, -1) / 4)
 COMPLEX_WITNESS_OVERLAP2 = QRoot2(3) / 8
 
+#: Largest closed-form vs explicit-state deviation ``majorana`` accepts.
+CLOSED_FORM_TOL = 1e-10
+
 
 @dataclass
 class Check:
@@ -71,8 +74,8 @@ def report_to_json(report: Report) -> str:
     return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _emit(report: Report, as_json: bool, out=None) -> int:
-    out = out or sys.stdout
+def _emit(report: Report, as_json: bool) -> int:
+    out = sys.stdout
     if as_json:
         out.write(report_to_json(report))
     else:
@@ -193,7 +196,7 @@ def _symmetry_check(
 
 
 def cmd_verify(args) -> int:
-    report = Report("verify", {"set": args.set, "seed": args.seed, "tol": args.tol})
+    report = Report("verify", {"set": args.set, "seed": args.seed, "tol": DEFAULT_TOL})
     if args.set in ("peres", "penrose"):
         load, overlap, expected = {
             "peres": (cat.peres_rays, overlap2, REAL_WITNESS_OVERLAP2),
@@ -201,7 +204,7 @@ def cmd_verify(args) -> int:
                         COMPLEX_WITNESS_OVERLAP2),
         }[args.set]
         entries = load()
-        graph = orthograph.build_graph(entries, tol=args.tol)
+        graph = orthograph.build_graph(entries)
         _diagram_checks(report, graph)
         witness = overlap(entries[8], entries[13])
         report.add(
@@ -221,7 +224,7 @@ def cmd_verify(args) -> int:
                 rng.uniform(0.0, 2.0 * math.pi),
                 rng.uniform(0.0, 2.0 * math.pi),
             )
-            sample_graph = orthograph.build_graph(cat.family_rays(params), tol=args.tol)
+            sample_graph = orthograph.build_graph(cat.family_rays(params))
             if sample_graph.edges == reference_edges:
                 matches += 1
         report.add(
@@ -263,23 +266,19 @@ def _trace_payload(trace: kscolor.ProofTrace) -> dict:
 def cmd_prove(args) -> int:
     report = Report("prove", {"mode": args.mode})
     cs = kscolor.ConstraintSet.from_graph(orthograph.reference_graph())
-    replay_unsat = search_unsat = None
-    if args.mode in ("replay", "both"):
-        trace = kscolor.replay_proof(cs)
-        replay_unsat = trace.contradiction is not None
-        # replay_proof raises unless it reproduces the documented proof
-        report.add("replay_contradiction", replay_unsat, trace=_trace_payload(trace))
-    if args.mode in ("search", "both"):
-        result = kscolor.search(cs)
-        search_unsat = result.coloring is None
-        report.add("search_unsat", search_unsat, nodes=result.nodes)
-    if args.mode == "both":
-        report.add(
-            "routes_agree",
-            replay_unsat is True and search_unsat is True,
-            replay_unsat=replay_unsat,
-            search_unsat=search_unsat,
-        )
+    trace = kscolor.replay_proof(cs)
+    replay_unsat = trace.contradiction is not None
+    # replay_proof raises unless it reproduces the documented proof
+    report.add("replay_contradiction", replay_unsat, trace=_trace_payload(trace))
+    result = kscolor.search(cs)
+    search_unsat = result.coloring is None
+    report.add("search_unsat", search_unsat, nodes=result.nodes)
+    report.add(
+        "routes_agree",
+        replay_unsat and search_unsat,
+        replay_unsat=replay_unsat,
+        search_unsat=search_unsat,
+    )
     return _emit(report, args.json)
 
 
@@ -379,7 +378,7 @@ def cmd_export_cnf(args) -> int:
 
 def cmd_majorana(args) -> int:
     report = Report(
-        "majorana", {"samples": args.samples, "seed": args.seed, "tol": args.tol}
+        "majorana", {"samples": args.samples, "seed": args.seed, "tol": CLOSED_FORM_TOL}
     )
     rng = Random(args.seed)
     max_dev = 0.0
@@ -393,9 +392,9 @@ def cmd_majorana(args) -> int:
         max_dev = max(max_dev, abs(closed - explicit))
     report.add(
         "closed_form_matches_states",
-        max_dev < args.tol,
+        max_dev < CLOSED_FORM_TOL,
         max_deviation=max_dev,
-        tol=args.tol,
+        tol=CLOSED_FORM_TOL,
     )
 
     pairs = cat.penrose_mpairs()
@@ -455,13 +454,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bks33",
@@ -489,13 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", choices=("peres", "penrose", "family"), required=True)
     p.add_argument("--samples", type=_positive_int, default=50, help="random family samples")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=seed_help)
-    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL,
-                   help=f"floating-point tolerance (default {DEFAULT_TOL:g})")
     p.add_argument("--json", action="store_true", help=json_help)
     p.set_defaults(func=cmd_verify)
 
-    p = add("prove", "replay and/or search the non-colorability proof")
-    p.add_argument("--mode", choices=("replay", "search", "both"), default="both")
+    p = add("prove", "replay and search the non-colorability proof")
+    # one choice, still accepted because perfbench/bench_workloads.py passes it
+    p.add_argument("--mode", choices=("both",), default="both")
     p.add_argument("--json", action="store_true", help=json_help)
     p.set_defaults(func=cmd_prove)
 
@@ -512,8 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("majorana", "cross-check the closed-form overlap machinery")
     p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=seed_help)
-    p.add_argument("--tol", type=_positive_float, default=1e-10,
-                   help="floating-point tolerance (default 1e-10)")
     p.add_argument("--json", action="store_true", help=json_help)
     p.set_defaults(func=cmd_majorana)
 

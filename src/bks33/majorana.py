@@ -117,12 +117,12 @@ class MPair:
     def rotated(self, m: tuple[tuple[int, int, int], ...]) -> MPair:
         return MPair(self.first.rotated(m), self.second.rotated(m))
 
-    def orthogonal_to(self, other: MPair, tol: float = DEFAULT_TOL) -> bool:
-        """Exact zero test of the closed form for exact pairs, else < tol^2."""
+    def orthogonal_to(self, other: MPair) -> bool:
+        """Exact zero test of the closed form for exact pairs, else < DEFAULT_TOL^2."""
         value = overlap2_closed_form(self, other)
         if self.is_exact and other.is_exact:
             return value == 0
-        return value < tol * tol
+        return value < DEFAULT_TOL * DEFAULT_TOL
 
 
 def spinor_from_direction(v: MVector) -> tuple[complex, complex]:

@@ -7,8 +7,6 @@ from functools import cached_property
 from itertools import combinations
 from typing import Hashable, Protocol, Sequence
 
-from .scalar import DEFAULT_TOL
-
 Edge = tuple[int, int]
 IndexPermutation = dict[int, int]
 RotationMatrix = tuple[tuple[int, int, int], ...]
@@ -91,14 +89,14 @@ class Entry(Protocol):
     def rotated(self, m: RotationMatrix) -> Entry:
         """Image under an integer rotation matrix."""
 
-    def orthogonal_to(self, other: Entry, tol: float) -> bool:
-        """Exact for exact entries, within ``tol`` otherwise."""
+    def orthogonal_to(self, other: Entry) -> bool:
+        """Exact for exact entries, within ``scalar.DEFAULT_TOL`` otherwise."""
 
 
 Catalog = Sequence[Entry]
 
 
-def build_graph(catalog: Catalog, tol: float = DEFAULT_TOL) -> OrthoGraph:
+def build_graph(catalog: Catalog) -> OrthoGraph:
     """Orthogonality graph of a 33-entry catalog of rays or M-vector pairs."""
     items = list(catalog)
     if len(items) != CATALOG_SIZE:
@@ -106,7 +104,7 @@ def build_graph(catalog: Catalog, tol: float = DEFAULT_TOL) -> OrthoGraph:
     edges = frozenset(
         (i, j)
         for (i, a), (j, b) in combinations(enumerate(items, start=1), 2)
-        if a.orthogonal_to(b, tol)
+        if a.orthogonal_to(b)
     )
     return OrthoGraph(frozenset(range(1, CATALOG_SIZE + 1)), edges)
 

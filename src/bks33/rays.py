@@ -56,8 +56,8 @@ class Ray:
             v[j] if row[j] > 0 else -v[j] for row in m for j in range(3) if row[j]
         ))
 
-    def orthogonal_to(self, other: Ray, tol: float = DEFAULT_TOL) -> bool:
-        return is_orthogonal(self, other, tol)
+    def orthogonal_to(self, other: Ray) -> bool:
+        return is_orthogonal(self, other)
 
 
 def inner(a: Ray, b: Ray) -> Scalar:
@@ -86,9 +86,9 @@ def overlap2(a: Ray, b: Ray) -> RealScalar:
     return abs2(inner(a, b)) / (a.norm2 * b.norm2)
 
 
-def is_orthogonal(a: Ray, b: Ray, tol: float = DEFAULT_TOL) -> bool:
-    """Exact zero test of <a|b> for two exact rays; overlap2 < tol^2 for
-    two float rays.  An exact ray against a float ray raises ValueError."""
+def is_orthogonal(a: Ray, b: Ray) -> bool:
+    """Exact zero test of <a|b> for two exact rays; overlap2 < DEFAULT_TOL^2
+    for two float rays.  An exact ray against a float ray raises ValueError."""
     if a.is_exact and b.is_exact:
         return not inner(a, b)
-    return overlap2(a, b) < tol * tol
+    return overlap2(a, b) < DEFAULT_TOL * DEFAULT_TOL

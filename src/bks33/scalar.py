@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from typing import Union
 
+#: Float orthogonality threshold; test_nonedges_stay_far_from_zero_in_floating_runs pins its margins.
 DEFAULT_TOL = 1e-9
 
 _SQRT2 = math.sqrt(2.0)

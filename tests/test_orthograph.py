@@ -19,7 +19,7 @@ from bks33.orthograph import (
 )
 from bks33.majorana import MPair, MVector
 from bks33.rays import Ray
-from bks33.scalar import ExactComplex, QRoot2
+from bks33.scalar import DEFAULT_TOL, ExactComplex, QRoot2
 
 ROTATIONS = (ROTATION_111, *X_AXIS_ROTATIONS.values())
 
@@ -64,6 +64,8 @@ def test_nonedges_stay_far_from_zero_in_floating_runs():
     from bks33.rays import overlap2
 
     nonedge_floor = (3 - 2 * math.sqrt(2)) / 12 * (1 - 1e-9)
+    # the float orthogonality cutoff must fall inside the measured gap
+    assert 1e-28 < DEFAULT_TOL ** 2 < nonedge_floor
     rng = Random(77)
     reference = reference_graph()
     for _ in range(200):

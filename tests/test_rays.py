@@ -101,9 +101,7 @@ def test_exact_and_approx_orthogonality_agree_on_all_pairs():
     pairs = list(combinations(range(33), 2))
     assert len(pairs) == 528
     for i, j in pairs:
-        assert is_orthogonal(rays[i], rays[j]) == is_orthogonal(
-            approx[i], approx[j], tol=1e-9
-        )
+        assert is_orthogonal(rays[i], rays[j]) == is_orthogonal(approx[i], approx[j])
 
 
 def test_norm2_positive():
