@@ -264,11 +264,9 @@ UNREAD_OPTIONS = [
     (command, option)
     for command, options in [
         (["catalog", "--set", "peres"], ["--seed", "--tol", "--json"]),
-        (["verify", "--set", "family"], ["--tol"]),
         (["prove"], ["--seed", "--tol"]),
         (["critical", "--ray", "1"], ["--seed", "--tol"]),
         (["export-cnf", "--out", "x.cnf"], ["--seed", "--tol", "--json"]),
-        (["majorana"], ["--tol"]),
     ]
     for option in options
 ]
@@ -288,6 +286,10 @@ def test_options_a_subcommand_does_not_read_exit_2(tmp_path, monkeypatch, capsys
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--set", "family", "--samples", "0"], "--samples: must be at least 1"),
     (["majorana", "--samples", "0"], "--samples: must be at least 1"),
+    (["verify", "--set", "family", "--tol", "-1"], "unrecognized arguments: --tol -1"),
+    (["majorana", "--tol", "0"], "unrecognized arguments: --tol 0"),
+    (["verify", "--set", "family", "--tol", "inf"], "unrecognized arguments: --tol inf"),
+    (["majorana", "--samples", "1", "--tol", "inf"], "unrecognized arguments: --tol inf"),
     (["catalog", "--set", "family", "--alpha", "nan"], "--alpha: must be finite"),
     (["catalog", "--set", "family", "--alpha", "inf"], "--alpha: must be finite"),
     (["catalog", "--set", "family", "--alpha", "-inf"], "--alpha: must be finite"),
@@ -295,7 +297,8 @@ def test_options_a_subcommand_does_not_read_exit_2(tmp_path, monkeypatch, capsys
     (["catalog", "--set", "family", "--gamma", "nan"], "--gamma: must be finite"),
     (["prove", "--mode", "replay"], "--mode: invalid choice: 'replay'"),
     (["prove", "--mode", "search"], "--mode: invalid choice: 'search'"),
-], ids=["verify-samples-0", "majorana-samples-0", "catalog-alpha-nan", "catalog-alpha-inf",
+], ids=["verify-samples-0", "majorana-samples-0", "verify-tol-negative", "majorana-tol-0",
+        "verify-tol-inf", "majorana-tol-inf", "catalog-alpha-nan", "catalog-alpha-inf",
         "catalog-alpha-minus-inf", "catalog-beta-minus-inf", "catalog-gamma-nan",
         "prove-mode-replay", "prove-mode-search"])
 def test_vacuous_or_invalid_input_exits_2(capsys, argv, message):
