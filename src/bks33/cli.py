@@ -260,6 +260,8 @@ def _trace_payload(trace: kscolor.ProofTrace) -> dict:
             "kind": trace.contradiction.kind,
             "constraint": list(trace.contradiction.constraint),
         }
+    if trace.divergence is not None:
+        payload["divergence"] = trace.divergence
     return payload
 
 
@@ -267,8 +269,7 @@ def cmd_prove(args) -> int:
     report = Report("prove", {"mode": args.mode})
     cs = kscolor.ConstraintSet.from_graph(orthograph.reference_graph())
     trace = kscolor.replay_proof(cs)
-    replay_unsat = trace.contradiction is not None
-    # replay_proof raises unless it reproduces the documented proof
+    replay_unsat = trace.divergence is None
     report.add("replay_contradiction", replay_unsat, trace=_trace_payload(trace))
     result = kscolor.search(cs)
     search_unsat = result.coloring is None
@@ -287,19 +288,16 @@ def cmd_prove(args) -> int:
 
 
 def _check_deletion(
-    report: Report, reduced: kscolor.ConstraintSet, ray: int, coloring: kscolor.Coloring | None
+    report: Report, reduced: kscolor.ConstraintSet, ray: int, greens: frozenset[int] | None
 ) -> None:
-    ok = coloring is not None and kscolor.validate_coloring(coloring, reduced)
-    greens = sorted(r for r, c in (coloring or {}).items() if c is kscolor.Color.GREEN)
-    report.add(f"delete_{ray}_colorable", ok, greens=greens)
+    ok = greens is not None and kscolor.validate_coloring(greens, reduced)
+    report.add(f"delete_{ray}_colorable", ok, greens=sorted(greens or ()))
     if ray == 1:
-        known = kscolor.coloring_from_greens(
-            kscolor.KNOWN_DELETE1_GREENS, reduced.vertices
-        )
+        known = kscolor.KNOWN_DELETE1_GREENS
         report.add(
             "delete_1_known_coloring_valid",
             kscolor.validate_coloring(known, reduced),
-            greens=sorted(kscolor.KNOWN_DELETE1_GREENS),
+            greens=sorted(known),
         )
 
 
@@ -310,15 +308,16 @@ def cmd_critical(args) -> int:
     reduced = kscolor.ConstraintSet.from_graph(graph.delete_vertex(ray))
     if args.ray == "all":
         audit = kscolor.criticality_audit(graph)
+        colorable = sum(greens is not None for greens in audit.values())
         report.add(
             "all_33_deletions_colorable",
-            len(audit) == 33,
-            colorable=len(audit),
+            colorable == len(audit) == 33,
+            colorable=colorable,
         )
-        coloring = audit[1]
+        greens = audit[1]
     else:
-        coloring = kscolor.search(reduced).coloring
-    _check_deletion(report, reduced, ray, coloring)
+        greens = kscolor.search(reduced).coloring
+    _check_deletion(report, reduced, ray, greens)
     return _emit(report, args.json)
 
 

@@ -13,8 +13,9 @@ the documented forcing chain step for step.
 Inside the engine a partial coloring is two Python-int bitmasks, ``green``
 and ``red``, bit v standing for ray v, and each constraint set compiles its
 constraints to masks once.  ``propagate`` and ``search`` run the same
-fixpoint on these masks, with the rules in the order above; colorings are
-dicts only where they enter or leave.
+fixpoint on these masks, with the rules in the order above.  A partial
+coloring is a dict only where it enters or leaves ``propagate``; a complete
+coloring is its set of green rays, every other ray being red.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple, Union
 
 from .orthograph import (
     Catalog,
@@ -43,14 +44,6 @@ class Color(Enum):
 
 Coloring = dict[int, Color]
 Constraint = tuple[int, ...]
-
-
-class ReplayDivergenceError(RuntimeError):
-    """Raised when propagation fails to force the documented proof chain."""
-
-
-class UncolorableDeletionError(RuntimeError):
-    """Raised when a single-deletion instance admits no valid coloring."""
 
 
 class _Compiled(NamedTuple):
@@ -174,8 +167,8 @@ def _fixpoint(
 def propagate(coloring: Mapping[int, Color], cs: ConstraintSet) -> Propagation:
     """Run both rules to a fixpoint from the given assignments.
 
-    A conflict is reported as a witness, never raised: an all-red triad, or
-    a triad/dyad holding two greens.
+    A conflict is reported as a witness, not as an exception: an all-red
+    triad, or a triad/dyad holding two greens.
     """
     queue = sorted(r for r in coloring if r in cs.vertices)
     green = sum(1 << r for r in queue if coloring[r] is Color.GREEN)
@@ -191,7 +184,7 @@ def propagate(coloring: Mapping[int, Color], cs: ConstraintSet) -> Propagation:
 
 @dataclass(frozen=True)
 class SearchResult:
-    coloring: Coloring | None
+    coloring: frozenset[int] | None  # the green rays
     nodes: int
 
 
@@ -206,10 +199,8 @@ def search(cs: ConstraintSet) -> SearchResult:
     found, nodes = _descend(cs._compiled, 0, 0, [], trail)
     if not found:
         return SearchResult(None, nodes)
-    coloring: Coloring = {ray: color for ray, color, _ in trail}
-    for v in cs.vertices:
-        coloring.setdefault(v, Color.RED)
-    return SearchResult(coloring, nodes)
+    greens = frozenset(ray for ray, color, _ in trail if color is Color.GREEN)
+    return SearchResult(greens, nodes)
 
 
 def _descend(
@@ -243,25 +234,29 @@ def _descend(
     return False, nodes
 
 
-def validate_coloring(coloring: Mapping[int, Color], cs: ConstraintSet) -> bool:
-    """Check a coloring against nothing but the validity definition."""
-    if set(coloring) != cs.vertices:
+def validate_coloring(greens: frozenset[int], cs: ConstraintSet) -> bool:
+    """Check the coloring with these green rays, every other vertex red,
+    against nothing but the validity definition."""
+    if not greens <= cs.vertices:
         return False
     for t in cs.exactly_one:
-        if sum(1 for m in t if coloring[m] is Color.GREEN) != 1:
+        if sum(1 for m in t if m in greens) != 1:
             return False
     for p in cs.at_most_one:
-        if sum(1 for m in p if coloring[m] is Color.GREEN) > 1:
+        if sum(1 for m in p if m in greens) > 1:
             return False
     return True
 
 
 @dataclass(frozen=True)
 class ProofTrace:
-    """Ordered record of choices, forced colorings, and the final witness."""
+    """Ordered record of choices, forced colorings, and the final witness;
+    ``divergence`` names the first documented fact the replay did not
+    reproduce, or is None."""
 
     steps: tuple[Step, ...]
     contradiction: Contradiction | None
+    divergence: str | None
 
     @property
     def green_rays(self) -> frozenset[int]:
@@ -292,48 +287,38 @@ def replay_proof(cs: ConstraintSet) -> ProofTrace:
     Choice one colors ray 1 green (any other first pick maps to it under the
     body-diagonal rotation); choice two colors the pair (10, 11) green (the
     x-axis rotations map the alternative pairs to it).  Everything else is
-    forced.  Raises ReplayDivergenceError if propagation does not reproduce
-    the documented chain.
+    forced.  The trace stops at the first documented fact that propagation
+    does not reproduce, and names it in ``divergence``.
     """
     steps: list[Step] = []
 
     steps.append(Choice((_PROOF_FIRST_GREEN,), "symmetry: rotation about the body diagonal"))
     first = propagate({_PROOF_FIRST_GREEN: Color.GREEN}, cs)
-    if first.contradiction is not None:
-        raise ReplayDivergenceError("first choice already contradictory")
-    reds = {r for r, c in first.coloring.items() if c is Color.RED}
-    greens = {r for r, c in first.coloring.items() if c is Color.GREEN}
-    if reds != _PROOF_FIRST_REDS or greens != {_PROOF_FIRST_GREEN}:
-        raise ReplayDivergenceError(
-            f"first choice forced {sorted(reds)}, expected {sorted(_PROOF_FIRST_REDS)}"
-        )
     steps.extend(first.steps)
+    if first.contradiction is not None:
+        return ProofTrace(tuple(steps), first.contradiction, "first choice already contradictory")
+    forced = {step.ray: step.color for step in first.steps}
+    if forced != dict.fromkeys(_PROOF_FIRST_REDS, Color.RED):
+        return ProofTrace(tuple(steps), None, (
+            f"first choice forced {sorted(forced)}, expected reds {sorted(_PROOF_FIRST_REDS)}"
+        ))
 
     steps.append(Choice(_PROOF_SECOND_GREENS, "symmetry: quarter/half turns about the x-axis"))
-    start = dict(first.coloring)
-    for ray in _PROOF_SECOND_GREENS:
-        start[ray] = Color.GREEN
-    final = propagate(start, cs)
+    final = propagate({**first.coloring, **dict.fromkeys(_PROOF_SECOND_GREENS, Color.GREEN)}, cs)
     steps.extend(final.steps)
 
-    if final.contradiction is None:
-        raise ReplayDivergenceError("documented choices did not reach a contradiction")
-    if final.contradiction.kind != "all_red" or tuple(
-        sorted(final.contradiction.constraint)
-    ) != _PROOF_CONTRADICTION:
-        raise ReplayDivergenceError(
-            f"unexpected contradiction witness {final.contradiction}"
-        )
-    forced_greens = {s.ray for s in final.steps if s.color is Color.GREEN}
-    if forced_greens != _PROOF_FORCED_GREENS:
-        raise ReplayDivergenceError(
+    witness = final.contradiction
+    forced_greens = {step.ray for step in final.steps if step.color is Color.GREEN}
+    divergence = None
+    if witness is None:
+        divergence = "documented choices did not reach a contradiction"
+    elif witness.kind != "all_red" or tuple(sorted(witness.constraint)) != _PROOF_CONTRADICTION:
+        divergence = f"unexpected contradiction witness {witness}"
+    elif forced_greens != _PROOF_FORCED_GREENS:
+        divergence = (
             f"forced greens {sorted(forced_greens)}, expected {sorted(_PROOF_FORCED_GREENS)}"
         )
-
-    trace = ProofTrace(tuple(steps), final.contradiction)
-    if trace.green_rays != {_PROOF_FIRST_GREEN, *_PROOF_SECOND_GREENS} | _PROOF_FORCED_GREENS:
-        raise ReplayDivergenceError("green set diverges from the documented proof")
-    return trace
+    return ProofTrace(tuple(steps), witness, divergence)
 
 
 #: Alternative second-choice pairs, each mapped onto _PROOF_SECOND_GREENS.
@@ -398,29 +383,19 @@ def verify_symmetry_reduction(catalog: Catalog, g: OrthoGraph) -> SymmetryReport
     return SymmetryReport(pair_rotations, tuple(failures))
 
 
-def criticality_audit(g: OrthoGraph) -> dict[int, Coloring]:
+def criticality_audit(g: OrthoGraph) -> dict[int, frozenset[int] | None]:
     """Search a valid coloring for every single-vertex deletion.
 
     Each deletion demotes the triads through the deleted ray to at-most-one
     pairs over the survivors, which is exactly what re-deriving constraints
-    from the reduced graph produces.  Every returned coloring is re-checked
-    by the independent validator; an uncolorable deletion raises.
+    from the reduced graph produces.  Maps each deleted ray to the green
+    rays of the coloring found, re-checked by the independent validator, or
+    to None where no coloring is found or the validator rejects it.
     """
-    results: dict[int, Coloring] = {}
+    results: dict[int, frozenset[int] | None] = {}
     for v in sorted(g.vertices):
         reduced = ConstraintSet.from_graph(g.delete_vertex(v))
-        coloring = search(reduced).coloring
-        if coloring is None or not validate_coloring(coloring, reduced):
-            raise UncolorableDeletionError(
-                f"deleting ray {v} leaves no valid coloring"
-            )
-        results[v] = coloring
+        greens = search(reduced).coloring
+        valid = greens is not None and validate_coloring(greens, reduced)
+        results[v] = greens if valid else None
     return results
-
-
-def coloring_from_greens(greens: Iterable[int], vertices: Iterable[int]) -> Coloring:
-    """Complete coloring with the given greens and every other vertex red."""
-    green_set = set(greens)
-    return {
-        v: Color.GREEN if v in green_set else Color.RED for v in vertices
-    }

@@ -7,9 +7,9 @@ import math
 import pytest
 from dimacs_oracle import clause_satisfied, dpll, parse_dimacs
 
-from bks33 import cli
-from bks33.kscolor import Color, ConstraintSet, criticality_audit
-from bks33.orthograph import reference_graph
+from bks33 import cli, orthograph
+from bks33.kscolor import ConstraintSet, criticality_audit
+from bks33.orthograph import OrthoGraph, reference_graph
 
 
 def run(capsys, *argv):
@@ -147,6 +147,21 @@ def test_prove_both_modes_agree(capsys):
     assert names["search_unsat"]["details"]["nodes"] > 0
 
 
+def test_prove_reports_a_diverging_replay(capsys, monkeypatch):
+    # without the dyad (10, 24) the documented chain breaks and a coloring exists
+    full = reference_graph()
+    broken = OrthoGraph(full.vertices, full.edges - {(10, 24)})
+    monkeypatch.setattr(orthograph, "reference_graph", lambda: broken)
+    code, out = run(capsys, "prove", "--json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False
+    names = {c["name"]: c for c in report["checks"]}
+    assert names["replay_contradiction"]["passed"] is False
+    assert names["replay_contradiction"]["details"]["trace"]["divergence"]
+    assert names["search_unsat"]["passed"] is False
+
+
 # --- critical ---------------------------------------------------------------
 
 def test_critical_single_ray_with_regression(capsys):
@@ -164,6 +179,21 @@ def test_critical_all(capsys):
     report = json.loads(out)
     names = {c["name"]: c for c in report["checks"]}
     assert names["all_33_deletions_colorable"]["details"]["colorable"] == 33
+
+
+def test_critical_reports_uncolorable_deletions(capsys, monkeypatch):
+    # two disjoint copies of the diagram: each deletion leaves one copy whole
+    full = reference_graph()
+    shifted = {(u + 33, v + 33) for u, v in full.edges}
+    doubled = OrthoGraph(frozenset(range(1, 67)), full.edges | shifted)
+    monkeypatch.setattr(orthograph, "reference_graph", lambda: doubled)
+    code, out = run(capsys, "critical", "--json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False
+    names = {c["name"]: c for c in report["checks"]}
+    assert names["all_33_deletions_colorable"]["passed"] is False
+    assert names["all_33_deletions_colorable"]["details"]["colorable"] == 0
 
 
 def test_critical_reports_the_canonical_ray_index(capsys):
@@ -201,8 +231,7 @@ def test_export_cnf_delete_one_is_sat(tmp_path, capsys):
     assert all(clause_satisfied(c, model) for c in clauses)
     # the audit coloring satisfies every exported clause directly
     audit = criticality_audit(reference_graph())
-    audit_model = {r: c is Color.GREEN for r, c in audit[1].items()}
-    audit_model[1] = False
+    audit_model = {r: r in audit[1] for r in range(1, 34)}
     assert all(clause_satisfied(c, audit_model) for c in clauses)
 
 

@@ -14,7 +14,6 @@ from bks33.kscolor import (
     ConstraintSet,
     Forced,
     KNOWN_DELETE1_GREENS,
-    coloring_from_greens,
     criticality_audit,
     propagate,
     replay_proof,
@@ -25,6 +24,14 @@ from bks33.kscolor import (
 from bks33.orthograph import OrthoGraph, build_graph, reference_graph
 
 FULL = ConstraintSet.from_graph(reference_graph())
+
+
+def two_disjoint_copies() -> OrthoGraph:
+    """The diagram on rays 1..33 and again on 34..66: every single deletion
+    leaves one whole copy, so none is colorable."""
+    g = reference_graph()
+    shifted = {(u + 33, v + 33) for u, v in g.edges}
+    return OrthoGraph(frozenset(range(1, 67)), g.edges | shifted)
 
 
 def greens_of(coloring):
@@ -93,6 +100,7 @@ def test_replay_trace_contents():
     assert trace.contradiction is not None
     assert trace.contradiction.kind == "all_red"
     assert tuple(sorted(trace.contradiction.constraint)) == (7, 15, 16)
+    assert trace.divergence is None
     choices = [s for s in trace.steps if isinstance(s, Choice)]
     assert [c.greens for c in choices] == [(1,), (10, 11)]
     forced_greens = [
@@ -123,7 +131,7 @@ def test_single_triad_instance():
     coloring = search(cs).coloring
     assert coloring is not None
     assert validate_coloring(coloring, cs)
-    assert len(greens_of(coloring)) == 1
+    assert len(coloring) == 1
 
 
 def test_delete_one_instance_is_colorable():
@@ -135,8 +143,7 @@ def test_delete_one_instance_is_colorable():
 
 def test_known_delete1_coloring_validates():
     reduced = ConstraintSet.from_graph(reference_graph().delete_vertex(1))
-    known = coloring_from_greens(KNOWN_DELETE1_GREENS, reduced.vertices)
-    assert validate_coloring(known, reduced)
+    assert validate_coloring(KNOWN_DELETE1_GREENS, reduced)
 
 
 def test_validate_coloring_rejects_bad_colorings():
@@ -145,15 +152,15 @@ def test_validate_coloring_rejects_bad_colorings():
         at_most_one=((3, 4),),
         vertices=frozenset({1, 2, 3, 4}),
     )
-    all_red = coloring_from_greens([], cs.vertices)
+    all_red = frozenset()
     assert not validate_coloring(all_red, cs)
-    two_greens = coloring_from_greens([1, 2], cs.vertices)
+    two_greens = frozenset({1, 2})
     assert not validate_coloring(two_greens, cs)
-    dyad_violation = coloring_from_greens([3, 4], cs.vertices)
+    dyad_violation = frozenset({3, 4})
     assert not validate_coloring(dyad_violation, cs)
-    incomplete = {1: Color.GREEN}
-    assert not validate_coloring(incomplete, cs)
-    good = coloring_from_greens([1], cs.vertices)
+    green_outside_vertices = frozenset({1, 5})
+    assert not validate_coloring(green_outside_vertices, cs)
+    good = frozenset({1})
     assert validate_coloring(good, cs)
 
 
@@ -161,9 +168,14 @@ def test_criticality_audit_all_deletions():
     graph = reference_graph()
     audit = criticality_audit(graph)
     assert sorted(audit) == list(range(1, 34))
-    for deleted, coloring in audit.items():
+    for deleted, greens in audit.items():
         reduced = ConstraintSet.from_graph(graph.delete_vertex(deleted))
-        assert validate_coloring(coloring, reduced)
+        assert greens is not None
+        assert validate_coloring(greens, reduced)
+
+
+def test_criticality_audit_maps_uncolorable_deletions_to_none():
+    assert criticality_audit(two_disjoint_copies()) == dict.fromkeys(range(1, 67))
 
 
 def test_deletion_demotes_triads_through_the_ray_to_pairs():
@@ -258,7 +270,7 @@ def test_search_tree_is_pinned():
             ConstraintSet.from_graph(graph.delete_vertex(u).delete_vertex(v))
         )
         total += result.nodes
-        greens = sorted(greens_of(result.coloring))
+        greens = sorted(result.coloring)
         digest.update(json.dumps([u, v, result.nodes, greens]).encode())
     assert total == 3291
     assert digest.hexdigest() == (
