@@ -49,9 +49,8 @@ class Report:
     params: dict
     checks: list[Check] = field(default_factory=list)
 
-    def add(self, name: str, passed: bool, **details) -> bool:
+    def add(self, name: str, passed: bool, **details) -> None:
         self.checks.append(Check(name, bool(passed), details))
-        return bool(passed)
 
     @property
     def passed(self) -> bool:
@@ -269,17 +268,10 @@ def cmd_prove(args) -> int:
     report = Report("prove", {"mode": args.mode})
     cs = kscolor.ConstraintSet.from_graph(orthograph.reference_graph())
     trace = kscolor.replay_proof(cs)
-    replay_unsat = trace.divergence is None
-    report.add("replay_contradiction", replay_unsat, trace=_trace_payload(trace))
+    report.add("replay_contradiction", trace.divergence is None, trace=_trace_payload(trace))
     result = kscolor.search(cs)
-    search_unsat = result.coloring is None
-    report.add("search_unsat", search_unsat, nodes=result.nodes)
-    report.add(
-        "routes_agree",
-        replay_unsat and search_unsat,
-        replay_unsat=replay_unsat,
-        search_unsat=search_unsat,
-    )
+    report.add("search_unsat", result.coloring is None,
+               greens=sorted(result.coloring or ()), nodes=result.nodes)
     return _emit(report, args.json)
 
 
@@ -287,25 +279,9 @@ def cmd_prove(args) -> int:
 # critical
 
 
-def _check_deletion(
-    report: Report, reduced: kscolor.ConstraintSet, ray: int, greens: frozenset[int] | None
-) -> None:
-    ok = greens is not None and kscolor.validate_coloring(greens, reduced)
-    report.add(f"delete_{ray}_colorable", ok, greens=sorted(greens or ()))
-    if ray == 1:
-        known = kscolor.KNOWN_DELETE1_GREENS
-        report.add(
-            "delete_1_known_coloring_valid",
-            kscolor.validate_coloring(known, reduced),
-            greens=sorted(known),
-        )
-
-
 def cmd_critical(args) -> int:
     report = Report("critical", {"ray": args.ray})
     graph = orthograph.reference_graph()
-    ray = 1 if args.ray == "all" else int(args.ray)
-    reduced = kscolor.ConstraintSet.from_graph(graph.delete_vertex(ray))
     if args.ray == "all":
         audit = kscolor.criticality_audit(graph)
         colorable = sum(greens is not None for greens in audit.values())
@@ -314,10 +290,19 @@ def cmd_critical(args) -> int:
             colorable == len(audit) == 33,
             colorable=colorable,
         )
-        greens = audit[1]
+        ray, greens = 1, audit[1]
     else:
-        greens = kscolor.search(reduced).coloring
-    _check_deletion(report, reduced, ray, greens)
+        ray = int(args.ray)
+        greens = kscolor.coloring_without(graph, ray)
+    report.add(f"delete_{ray}_colorable", greens is not None, greens=sorted(greens or ()))
+    if ray == 1:
+        known = kscolor.KNOWN_DELETE1_GREENS
+        reduced = kscolor.ConstraintSet.from_graph(graph.delete_vertex(1))
+        report.add(
+            "delete_1_known_coloring_valid",
+            kscolor.validate_coloring(known, reduced),
+            greens=sorted(known),
+        )
     return _emit(report, args.json)
 
 

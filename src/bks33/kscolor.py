@@ -383,19 +383,20 @@ def verify_symmetry_reduction(catalog: Catalog, g: OrthoGraph) -> SymmetryReport
     return SymmetryReport(pair_rotations, tuple(failures))
 
 
-def criticality_audit(g: OrthoGraph) -> dict[int, frozenset[int] | None]:
-    """Search a valid coloring for every single-vertex deletion.
+def coloring_without(g: OrthoGraph, ray: int) -> frozenset[int] | None:
+    """Search a valid coloring of ``g`` with ``ray`` deleted.
 
-    Each deletion demotes the triads through the deleted ray to at-most-one
-    pairs over the survivors, which is exactly what re-deriving constraints
-    from the reduced graph produces.  Maps each deleted ray to the green
-    rays of the coloring found, re-checked by the independent validator, or
-    to None where no coloring is found or the validator rejects it.
+    The deletion demotes the triads through ``ray`` to at-most-one pairs
+    over the survivors, which is exactly what re-deriving constraints from
+    the reduced graph produces.  Returns the green rays of the coloring
+    found, re-checked by the independent validator, or None where no
+    coloring is found or the validator rejects it.
     """
-    results: dict[int, frozenset[int] | None] = {}
-    for v in sorted(g.vertices):
-        reduced = ConstraintSet.from_graph(g.delete_vertex(v))
-        greens = search(reduced).coloring
-        valid = greens is not None and validate_coloring(greens, reduced)
-        results[v] = greens if valid else None
-    return results
+    reduced = ConstraintSet.from_graph(g.delete_vertex(ray))
+    greens = search(reduced).coloring
+    return greens if greens is not None and validate_coloring(greens, reduced) else None
+
+
+def criticality_audit(g: OrthoGraph) -> dict[int, frozenset[int] | None]:
+    """``coloring_without`` for every single-vertex deletion, by ray."""
+    return {v: coloring_without(g, v) for v in sorted(g.vertices)}

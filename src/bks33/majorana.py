@@ -34,10 +34,6 @@ _SQRT2 = math.sqrt(2.0)
 RealLike = Union[int, float]
 
 
-class DegenerateStateError(ValueError):
-    """Raised when a symmetrized spinor product collapses to the zero vector."""
-
-
 @dataclass(frozen=True)
 class MVector:
     """A nonzero direction in R^3, stored unnormalized.
@@ -148,8 +144,6 @@ def state_from_mpair(p: MPair) -> Ray:
     c0 = (a1 * b2 + a2 * b1) / _SQRT2
     cm = b1 * b2
     norm = math.sqrt(abs(cp) ** 2 + abs(c0) ** 2 + abs(cm) ** 2)
-    if norm < 1e-15:
-        raise DegenerateStateError("symmetrized spinor product is zero")
     return Ray((cp / norm, c0 / norm, cm / norm))
 
 

@@ -8,7 +8,7 @@ import pytest
 from dimacs_oracle import clause_satisfied, dpll, parse_dimacs
 
 from bks33 import cli, orthograph
-from bks33.kscolor import ConstraintSet, criticality_audit
+from bks33.kscolor import ConstraintSet, criticality_audit, validate_coloring
 from bks33.orthograph import OrthoGraph, reference_graph
 
 
@@ -156,10 +156,14 @@ def test_prove_reports_a_diverging_replay(capsys, monkeypatch):
     assert code == 1
     report = json.loads(out)
     assert report["passed"] is False
+    assert [c["name"] for c in report["checks"]] == ["replay_contradiction", "search_unsat"]
     names = {c["name"]: c for c in report["checks"]}
     assert names["replay_contradiction"]["passed"] is False
     assert names["replay_contradiction"]["details"]["trace"]["divergence"]
     assert names["search_unsat"]["passed"] is False
+    # the failing check shows its counterexample
+    greens = frozenset(names["search_unsat"]["details"]["greens"])
+    assert validate_coloring(greens, ConstraintSet.from_graph(broken))
 
 
 # --- critical ---------------------------------------------------------------
@@ -201,6 +205,21 @@ def test_critical_reports_the_canonical_ray_index(capsys):
     assert json.loads(canonical)["params"] == {"ray": "5"}
     for spelling in ("05", " 5", "+5"):
         assert run(capsys, "critical", "--ray", spelling, "--json") == (0, canonical)
+
+
+@pytest.fixture(scope="module")
+def audit():
+    return criticality_audit(reference_graph())
+
+
+@pytest.mark.parametrize("ray", range(1, 34))
+def test_critical_single_ray_matches_the_audit(capsys, audit, ray):
+    # both entry points report one verdict per deletion
+    code, out = run(capsys, "critical", "--ray", str(ray), "--json")
+    assert code == 0
+    names = {c["name"]: c for c in json.loads(out)["checks"]}
+    greens = names[f"delete_{ray}_colorable"]["details"]["greens"]
+    assert greens == sorted(audit[ray])
 
 
 def test_critical_rejects_out_of_range_ray(capsys):

@@ -27,6 +27,7 @@ REPORTS = {
        for s in ("peres", "penrose", "family")},
     "prove.json": ["prove", "--json"],
     "critical.json": ["critical", "--json"],
+    "critical-ray-5.json": ["critical", "--ray", "5", "--json"],
     "majorana.json": ["majorana", "--json"],
 }
 

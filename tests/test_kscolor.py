@@ -179,7 +179,7 @@ def test_criticality_audit_maps_uncolorable_deletions_to_none():
 
 
 def test_deletion_demotes_triads_through_the_ray_to_pairs():
-    # The claim in criticality_audit's docstring, for every single deletion:
+    # The claim in coloring_without's docstring, for every single deletion:
     # the triads through v lose v and join the dyads as at-most-one pairs.
     graph = reference_graph()
     for v in sorted(graph.vertices):
