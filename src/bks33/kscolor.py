@@ -51,8 +51,8 @@ class _Compiled(NamedTuple):
     pairs, in constraint order) with their other members, and its triads
     as (mask, triad); every triad as (mask, triad), in constraint order."""
 
-    constraints_through: dict[int, tuple[tuple[Constraint, Constraint], ...]]
-    triads_through: dict[int, tuple[tuple[int, Constraint], ...]]
+    constraints_through: dict[int, list[tuple[Constraint, Constraint]]]
+    triads_through: dict[int, list[tuple[int, Constraint]]]
     triads: tuple[tuple[int, Constraint], ...]
 
 
@@ -71,19 +71,28 @@ class ConstraintSet:
 
     @cached_property
     def _compiled(self) -> _Compiled:
-        # No tuple is built from a generator: CPython resizes those, and
-        # once freed they pile up in its per-size tuple free lists.
-        triads = tuple([(sum(1 << m for m in t), t) for t in self.exactly_one])
+        # Each triad a, b, c and pair a, b is unpacked, its mates appended as
+        # tuple displays to per-vertex lists that are kept as built: no tuple
+        # comes from a slice, a copy or a generator, which CPython resizes
+        # and, once freed, keeps in its per-size tuple free lists.
         constraints: dict[int, list] = {v: [] for v in self.vertices}
         through: dict[int, list] = {v: [] for v in self.vertices}
-        for c in self.exactly_one + self.at_most_one:
-            for i, v in enumerate(c):
-                constraints[v].append((c, c[:i] + c[i + 1:]))
-        for entry in triads:
-            for v in entry[1]:
-                through[v].append(entry)
-        return _Compiled({v: tuple(cs) for v, cs in constraints.items()},
-                         {v: tuple(ts) for v, ts in through.items()}, triads)
+        triads = []
+        for t in self.exactly_one:
+            a, b, c = t
+            entry = ((1 << a) + (1 << b) + (1 << c), t)
+            triads.append(entry)
+            constraints[a].append((t, (b, c)))
+            constraints[b].append((t, (a, c)))
+            constraints[c].append((t, (a, b)))
+            through[a].append(entry)
+            through[b].append(entry)
+            through[c].append(entry)
+        for p in self.at_most_one:
+            a, b = p
+            constraints[a].append((p, (b,)))
+            constraints[b].append((p, (a,)))
+        return _Compiled(constraints, through, tuple(triads))
 
 
 @dataclass(frozen=True)

@@ -193,16 +193,28 @@ def overlap2_closed_form(pa: MPair, pb: MPair) -> RealScalar:
                   (3 + a1.a2)(3 + b1.b2)
 
     The denominator is at least 4 since every dot product is >= -1.  The
-    result is exact when all four vectors are exact catalog vectors.
+    result is exact when both pairs are exact, a float when neither is; an
+    exact pair against a float pair raises ValueError.  On float pairs each
+    vector is normalized once and the dots are ``unit_dot``'s float sums.
     """
+    exact = pa.is_exact
+    if exact is not pb.is_exact:
+        raise ValueError("cannot compare an exact M-pair with a float M-pair")
     a1, a2 = pa.first, pa.second
     b1, b2 = pb.first, pb.second
-    t11 = unit_dot(a1, b1)
-    t12 = unit_dot(a1, b2)
-    t21 = unit_dot(a2, b1)
-    t22 = unit_dot(a2, b2)
-    ta = unit_dot(a1, a2)
-    tb = unit_dot(b1, b2)
+    if exact:
+        t11, t12 = unit_dot(a1, b1), unit_dot(a1, b2)
+        t21, t22 = unit_dot(a2, b1), unit_dot(a2, b2)
+        ta, tb = unit_dot(a1, a2), unit_dot(b1, b2)
+    else:
+        (x1, y1, z1), (x2, y2, z2) = a1.unit(), a2.unit()
+        (u1, v1, w1), (u2, v2, w2) = b1.unit(), b2.unit()
+        t11 = x1 * u1 + y1 * v1 + z1 * w1
+        t12 = x1 * u2 + y1 * v2 + z1 * w2
+        t21 = x2 * u1 + y2 * v1 + z2 * w1
+        t22 = x2 * u2 + y2 * v2 + z2 * w2
+        ta = x1 * x2 + y1 * y2 + z1 * z2
+        tb = u1 * u2 + v1 * v2 + w1 * w2
     num = 2 * ((1 + t11) * (1 + t22) + (1 + t12) * (1 + t21)) - (1 - ta) * (1 - tb)
     den = (3 + ta) * (3 + tb)
     return num / den

@@ -38,15 +38,17 @@ class OrthoGraph:
         return len(self.edges)
 
     @cached_property
-    def _adjacency(self) -> dict[int, frozenset[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
+    def _adjacency(self) -> dict[int, int]:
+        """Per vertex, its neighbors as an int bitmask: bit w for vertex w."""
+        adj = dict.fromkeys(self.vertices, 0)
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return {v: frozenset(n) for v, n in adj.items()}
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return adj
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adjacency[v]
+        mask = self._adjacency[v]
+        return frozenset(w for w in range(mask.bit_length()) if mask >> w & 1)
 
     def delete_vertex(self, v: int) -> OrthoGraph:
         if v not in self.vertices:
@@ -57,13 +59,21 @@ class OrthoGraph:
         )
 
     def triangles(self) -> list[tuple[int, int, int]]:
-        """All triangles as sorted index triples, lexicographically ordered."""
+        """All triangles as sorted index triples, lexicographically ordered.
+
+        Each triangle u < v < w is found once, from its edge (u, v), as a
+        bit above v in the common neighbors of u and v; with the edges in
+        order and those bits taken lowest first, the list comes out sorted.
+        """
+        adj = self._adjacency
         found = []
         for u, v in sorted(self.edges):
-            for w in sorted(self._adjacency[u] & self._adjacency[v]):
-                if w > v:
-                    found.append((u, v, w))
-        return sorted(found)
+            common = adj[u] & adj[v] & -(2 << v)
+            while common:
+                low = common & -common
+                found.append((u, v, low.bit_length() - 1))
+                common ^= low
+        return found
 
 
 @dataclass(frozen=True)

@@ -87,8 +87,14 @@ def overlap2(a: Ray, b: Ray) -> RealScalar:
 
 
 def is_orthogonal(a: Ray, b: Ray) -> bool:
-    """Exact zero test of <a|b> for two exact rays; overlap2 < DEFAULT_TOL^2
-    for two float rays.  An exact ray against a float ray raises ValueError."""
-    if a.is_exact and b.is_exact:
-        return not inner(a, b)
-    return overlap2(a, b) < DEFAULT_TOL * DEFAULT_TOL
+    """Exact zero test of <a|b> for two exact rays.  For two float rays,
+    ``overlap2(a, b) < DEFAULT_TOL**2`` with ``overlap2``'s arithmetic
+    inlined: the same operations in the same order, so the same bits.  An
+    exact ray against a float ray raises ValueError."""
+    if a.is_exact is not b.is_exact:
+        raise ValueError("cannot compare an exact ray with a float ray")
+    x, y = a.components, b.components
+    z = x[0].conjugate() * y[0] + x[1].conjugate() * y[1] + x[2].conjugate() * y[2]
+    if a.is_exact:
+        return not z
+    return (z.real * z.real + z.imag * z.imag) / (a.norm2 * b.norm2) < DEFAULT_TOL * DEFAULT_TOL

@@ -232,3 +232,45 @@ def test_mpair_unordered_equality_and_match():
 def test_zero_mvector_rejected():
     with pytest.raises(ValueError):
         MVector(0, 0, 0)
+
+
+def test_exact_and_float_pairs_are_not_compared():
+    exact = penrose_mpairs()[0]
+    approx = MPair(MVector(0.0, 0.0, 1.0), MVector(1.0, 0.0, 0.0))
+    for a, b in ((exact, approx), (approx, exact)):
+        with pytest.raises(ValueError, match="exact M-pair with a float M-pair"):
+            overlap2_closed_form(a, b)
+        with pytest.raises(ValueError, match="exact M-pair with a float M-pair"):
+            a.orthogonal_to(b)
+
+
+def test_pair_with_one_float_vector_is_a_float_pair():
+    half = MPair(MVector(0, 0, 1), MVector(1.0, 0.0, 0.0))
+    assert not half.is_exact
+    same = MPair(MVector(0.0, 0.0, 1.0), MVector(1.0, 0.0, 0.0))
+    for other in (same, half):
+        value = overlap2_closed_form(half, other)
+        assert type(value) is float and value == pytest.approx(1.0)
+    assert not half.orthogonal_to(same)
+
+
+def unit_dot_formula(pa, pb):
+    """The closed form spelled out over unit() dots, in unit_dot's sum order."""
+
+    def dot(u, v):
+        x, y = u.unit(), v.unit()
+        return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+    a1, a2, b1, b2 = pa.first, pa.second, pb.first, pb.second
+    t11, t12, t21, t22 = dot(a1, b1), dot(a1, b2), dot(a2, b1), dot(a2, b2)
+    ta, tb = dot(a1, a2), dot(b1, b2)
+    num = 2 * ((1 + t11) * (1 + t22) + (1 + t12) * (1 + t21)) - (1 - ta) * (1 - tb)
+    return num / ((3 + ta) * (3 + tb))
+
+
+def test_float_closed_form_is_bit_identical_to_the_unit_dot_formula():
+    rng = Random(200)
+    for _ in range(200):
+        pa = MPair(random_mvector(rng), random_mvector(rng))
+        pb = MPair(random_mvector(rng), random_mvector(rng))
+        assert overlap2_closed_form(pa, pb).hex() == unit_dot_formula(pa, pb).hex()

@@ -1,7 +1,10 @@
 import math
+from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bks33.catalog import FamilyParams, family_rays, penrose_mpairs, peres_rays
 from bks33.orthograph import (
@@ -85,8 +88,66 @@ def test_decompose_rejects_edge_in_two_triangles():
         frozenset({1, 2, 3, 4}),
         frozenset({(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}),
     )
+    assert k4.triangles() == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
     with pytest.raises(AmbiguousDecompositionError):
         decompose(k4)
+
+
+def brute_force_triangles(g: OrthoGraph) -> list[tuple[int, int, int]]:
+    e = g.edges
+    return [
+        (a, b, c) for a, b, c in combinations(sorted(g.vertices), 3)
+        if (a, b) in e and (a, c) in e and (b, c) in e
+    ]
+
+
+def assert_triangles_match_oracle(g: OrthoGraph) -> None:
+    found = g.triangles()
+    assert found == sorted(found)
+    assert found == brute_force_triangles(g)
+
+
+def relabeled(g: OrthoGraph, rng: Random) -> OrthoGraph:
+    labels = sorted(g.vertices)
+    images = labels[:]
+    rng.shuffle(images)
+    perm = dict(zip(labels, images))
+    return OrthoGraph(
+        frozenset(images),
+        frozenset(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges),
+    )
+
+
+def test_triangles_match_brute_force_on_the_diagram_and_its_deletions():
+    g = reference_graph()
+    assert_triangles_match_oracle(g)
+    assert len(g.triangles()) == 16
+    for u in range(1, 34):
+        reduced = g.delete_vertex(u)
+        assert_triangles_match_oracle(reduced)
+        for v in range(u + 1, 34):
+            assert_triangles_match_oracle(reduced.delete_vertex(v))
+
+
+def test_triangles_match_brute_force_on_relabeled_diagrams():
+    rng = Random(64)
+    for _ in range(64):
+        assert_triangles_match_oracle(relabeled(reference_graph(), rng))
+
+
+@st.composite
+def small_graphs(draw) -> OrthoGraph:
+    vertices = sorted(draw(st.sets(st.integers(0, 40), max_size=12)))
+    pairs = list(combinations(vertices, 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return OrthoGraph(frozenset(vertices), frozenset(edges))
+
+
+@given(small_graphs())
+def test_triangles_match_brute_force_on_small_graphs(g):
+    assert_triangles_match_oracle(g)
+    assert all(g.neighbors(v) == {w for e in g.edges if v in e for w in e} - {v}
+               for v in g.vertices)
 
 
 def test_build_graph_requires_33_entries():

@@ -173,6 +173,45 @@ def test_float_overlap2_is_bit_identical_to_the_per_pair_norm_oracle():
         assert overlap2(a, b) == oracle_overlap2(a, b)
 
 
+def near_orthogonal_ray(a, rng):
+    """A float ray whose overlap with ``a`` is about eps^2, eps near DEFAULT_TOL."""
+    b = random_float_ray(rng).components
+    x = a.components
+    along = sum(xi.conjugate() * bi for xi, bi in zip(x, b)) / a.norm2
+    eps = DEFAULT_TOL * rng.uniform(0.5, 2.0)
+    return Ray(tuple(bi - along * xi + eps * complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                     for xi, bi in zip(x, b)))
+
+
+def test_float_is_orthogonal_decides_exactly_like_overlap2():
+    rng = Random(528)
+    for _ in range(50):
+        for a, b in combinations(generic_family(rng), 2):
+            assert is_orthogonal(a, b) == (overlap2(a, b) < DEFAULT_TOL ** 2)
+    decisions = set()
+    for _ in range(500):
+        a = random_float_ray(rng)
+        for b in (random_float_ray(rng), near_orthogonal_ray(a, rng)):
+            decision = overlap2(a, b) < DEFAULT_TOL ** 2
+            assert is_orthogonal(a, b) == decision
+            decisions.add(decision)
+    assert decisions == {True, False}
+
+
+def test_float_is_orthogonal_value_is_bit_identical_to_overlap2(monkeypatch):
+    # With the cutoff squared placed within an ulp or two of overlap2's
+    # value, any change in the last bit of the value tested flips a decision.
+    rng = Random(4096)
+    pairs = list(combinations(generic_family(rng), 2))[:100]
+    pairs += [(random_float_ray(rng), random_float_ray(rng)) for _ in range(100)]
+    for a, b in pairs:
+        value = overlap2(a, b)
+        root = math.sqrt(value)
+        for tol in (math.nextafter(root, 0), root, math.nextafter(root, 1)):
+            monkeypatch.setattr(bks33.rays, "DEFAULT_TOL", tol)
+            assert is_orthogonal(a, b) == (value < tol * tol)
+
+
 @given(exact_rays)
 def test_self_inner_product_is_real_and_positive(a):
     value = inner(a, a)
