@@ -171,11 +171,7 @@ def _diagram_checks(report: Report, graph: orthograph.OrthoGraph) -> None:
         triads=len(decomposition.triads),
         dyads=len(decomposition.dyads),
     )
-    report.add(
-        "matches_reference_table",
-        set(decomposition.triads) == set(reference.triads)
-        and set(decomposition.dyads) == set(reference.dyads),
-    )
+    report.add("matches_reference_table", decomposition == reference)
 
 
 def _symmetry_check(
@@ -266,7 +262,7 @@ def _trace_payload(trace: kscolor.ProofTrace) -> dict:
 
 def cmd_prove(args) -> int:
     report = Report("prove", {"mode": args.mode})
-    cs = kscolor.ConstraintSet.from_graph(orthograph.reference_graph())
+    cs = orthograph.ConstraintSet.from_graph(orthograph.reference_graph())
     trace = kscolor.replay_proof(cs)
     report.add("replay_contradiction", trace.divergence is None, trace=_trace_payload(trace))
     result = kscolor.search(cs)
@@ -297,7 +293,7 @@ def cmd_critical(args) -> int:
     report.add(f"delete_{ray}_colorable", greens is not None, greens=sorted(greens or ()))
     if ray == 1:
         known = kscolor.KNOWN_DELETE1_GREENS
-        reduced = kscolor.ConstraintSet.from_graph(graph.delete_vertex(1))
+        reduced = orthograph.ConstraintSet.from_graph(graph.delete_vertex(1))
         report.add(
             "delete_1_known_coloring_valid",
             kscolor.validate_coloring(known, reduced),
@@ -310,7 +306,7 @@ def cmd_critical(args) -> int:
 # export-cnf
 
 
-def dimacs_lines(cs: kscolor.ConstraintSet, comments: Sequence[str] = ()) -> list[str]:
+def dimacs_lines(cs: orthograph.ConstraintSet, comments: Sequence[str] = ()) -> list[str]:
     """DIMACS clauses: variable i true iff ray i is green.
 
     Each exactly-one triple (a, b, c) yields (a|b|c) and the three pairwise
@@ -319,11 +315,11 @@ def dimacs_lines(cs: kscolor.ConstraintSet, comments: Sequence[str] = ()) -> lis
     unconstrained.
     """
     clauses: list[list[int]] = []
-    for t in cs.exactly_one:
+    for t in cs.triads:
         clauses.append(list(t))
         for u, v in combinations(t, 2):
             clauses.append([-u, -v])
-    for p in cs.at_most_one:
+    for p in cs.dyads:
         for u, v in combinations(p, 2):
             clauses.append([-u, -v])
     lines = [f"c {text}" for text in comments]
@@ -341,7 +337,7 @@ def cmd_export_cnf(args) -> int:
     if args.delete is not None:
         graph = graph.delete_vertex(args.delete)
         comments.append(f"ray {args.delete} deleted")
-    cs = kscolor.ConstraintSet.from_graph(graph)
+    cs = orthograph.ConstraintSet.from_graph(graph)
     lines = dimacs_lines(cs, comments)
     try:
         with open(args.out, "w", encoding="ascii") as fh:

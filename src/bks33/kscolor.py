@@ -11,9 +11,9 @@ time in constraint order.  That makes traces deterministic and reproduces
 the documented forcing chain step for step.
 
 Inside the engine a partial coloring is two Python-int bitmasks, ``green``
-and ``red``, bit v standing for ray v, and each constraint set compiles its
-constraints to masks once.  ``propagate`` and ``search`` run the same
-fixpoint on these masks, with the rules in the order above.  A partial
+and ``red``, bit v standing for ray v.  ``propagate`` and ``search`` each
+compile the constraint set's triads and dyads to masks and run the same
+fixpoint on them, with the rules in the order above.  A partial
 coloring is a dict only where it enters or leaves ``propagate``; a complete
 coloring is its set of green rays, every other ray being red.
 """
@@ -22,16 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Mapping, NamedTuple, Union
 
 from .orthograph import (
     Catalog,
+    ConstraintSet,
     IndexPermutation,
     OrthoGraph,
     ROTATION_111,
     X_AXIS_ROTATIONS,
-    decompose,
     induced_permutation,
     is_automorphism,
 )
@@ -48,7 +47,7 @@ Constraint = tuple[int, ...]
 
 class _Compiled(NamedTuple):
     """The fixpoint's table: per vertex, its constraints (triads before
-    pairs, in constraint order) with their other members, and its triads
+    dyads, in constraint order) with their other members, and its triads
     as (mask, triad); every triad as (mask, triad), in constraint order."""
 
     constraints_through: dict[int, list[tuple[Constraint, Constraint]]]
@@ -56,43 +55,29 @@ class _Compiled(NamedTuple):
     triads: tuple[tuple[int, Constraint], ...]
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Exactly-one-green triads plus at-most-one-green pairs over a vertex set."""
-
-    exactly_one: tuple[Constraint, ...]
-    at_most_one: tuple[Constraint, ...]
-    vertices: frozenset[int]
-
-    @classmethod
-    def from_graph(cls, g: OrthoGraph) -> ConstraintSet:
-        d = decompose(g)
-        return cls(d.triads, d.dyads, g.vertices)
-
-    @cached_property
-    def _compiled(self) -> _Compiled:
-        # Each triad a, b, c and pair a, b is unpacked, its mates appended as
-        # tuple displays to per-vertex lists that are kept as built: no tuple
-        # comes from a slice, a copy or a generator, which CPython resizes
-        # and, once freed, keeps in its per-size tuple free lists.
-        constraints: dict[int, list] = {v: [] for v in self.vertices}
-        through: dict[int, list] = {v: [] for v in self.vertices}
-        triads = []
-        for t in self.exactly_one:
-            a, b, c = t
-            entry = ((1 << a) + (1 << b) + (1 << c), t)
-            triads.append(entry)
-            constraints[a].append((t, (b, c)))
-            constraints[b].append((t, (a, c)))
-            constraints[c].append((t, (a, b)))
-            through[a].append(entry)
-            through[b].append(entry)
-            through[c].append(entry)
-        for p in self.at_most_one:
-            a, b = p
-            constraints[a].append((p, (b,)))
-            constraints[b].append((p, (a,)))
-        return _Compiled(constraints, through, tuple(triads))
+def _compile(cs: ConstraintSet) -> _Compiled:
+    # Each triad a, b, c and dyad a, b is unpacked, its mates appended as
+    # tuple displays to per-vertex lists that are kept as built: no tuple
+    # comes from a slice, a copy or a generator, which CPython resizes
+    # and, once freed, keeps in its per-size tuple free lists.
+    constraints: dict[int, list] = {v: [] for v in cs.vertices}
+    through: dict[int, list] = {v: [] for v in cs.vertices}
+    triads = []
+    for t in cs.triads:
+        a, b, c = t
+        entry = ((1 << a) + (1 << b) + (1 << c), t)
+        triads.append(entry)
+        constraints[a].append((t, (b, c)))
+        constraints[b].append((t, (a, c)))
+        constraints[c].append((t, (a, b)))
+        through[a].append(entry)
+        through[b].append(entry)
+        through[c].append(entry)
+    for p in cs.dyads:
+        a, b = p
+        constraints[a].append((p, (b,)))
+        constraints[b].append((p, (a,)))
+    return _Compiled(constraints, through, tuple(triads))
 
 
 @dataclass(frozen=True)
@@ -183,7 +168,7 @@ def propagate(coloring: Mapping[int, Color], cs: ConstraintSet) -> Propagation:
     green = sum(1 << r for r in queue if coloring[r] is Color.GREEN)
     red = sum(1 << r for r in queue if coloring[r] is not Color.GREEN)
     steps: list[_Step] = []
-    _, _, witness = _fixpoint(cs._compiled, green, red, queue, steps)
+    _, _, witness = _fixpoint(_compile(cs), green, red, queue, steps)
     col: Coloring = dict(coloring)
     for ray, color, _ in steps:
         col[ray] = color
@@ -205,7 +190,7 @@ def search(cs: ConstraintSet) -> SearchResult:
     are red.  Returns None only after the whole choice tree is exhausted.
     """
     trail: list[_Step] = []
-    found, nodes = _descend(cs._compiled, 0, 0, [], trail)
+    found, nodes = _descend(_compile(cs), 0, 0, [], trail)
     if not found:
         return SearchResult(None, nodes)
     greens = frozenset(ray for ray, color, _ in trail if color is Color.GREEN)
@@ -248,10 +233,10 @@ def validate_coloring(greens: frozenset[int], cs: ConstraintSet) -> bool:
     against nothing but the validity definition."""
     if not greens <= cs.vertices:
         return False
-    for t in cs.exactly_one:
+    for t in cs.triads:
         if sum(1 for m in t if m in greens) != 1:
             return False
-    for p in cs.at_most_one:
+    for p in cs.dyads:
         if sum(1 for m in p if m in greens) > 1:
             return False
     return True
@@ -395,8 +380,8 @@ def verify_symmetry_reduction(catalog: Catalog, g: OrthoGraph) -> SymmetryReport
 def coloring_without(g: OrthoGraph, ray: int) -> frozenset[int] | None:
     """Search a valid coloring of ``g`` with ``ray`` deleted.
 
-    The deletion demotes the triads through ``ray`` to at-most-one pairs
-    over the survivors, which is exactly what re-deriving constraints from
+    The deletion demotes the triads through ``ray`` to dyads over the
+    survivors, which is exactly what re-deriving constraints from
     the reduced graph produces.  Returns the green rays of the coloring
     found, re-checked by the independent validator, or None where no
     coloring is found or the validator rejects it.

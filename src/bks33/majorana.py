@@ -81,17 +81,15 @@ class MVector:
         ))
 
 
-def unit_dot(a: MVector, b: MVector) -> RealScalar:
-    """Dot product of the normalized directions; exact when both vectors are.
+def unit_dot(a: MVector, b: MVector) -> QRoot2:
+    """Exact dot product of the normalized directions of two exact M-vectors.
 
-    The exact path requires the integer norm2(a) * norm2(b) to be of the
-    form s^2 or 2*s^2, which holds for all catalog vectors.
+    Requires the integer norm2(a) * norm2(b) to be of the form s^2 or
+    2*s^2, which holds for all catalog vectors.
     """
-    if a.is_exact and b.is_exact:
-        scale = QRoot2(a.norm2 * b.norm2).sqrt()
-        return QRoot2(a.dot(b)) / scale
-    ua, ub = a.unit(), b.unit()
-    return ua[0] * ub[0] + ua[1] * ub[1] + ua[2] * ub[2]
+    if not (a.is_exact and b.is_exact):
+        raise ValueError("only exact M-vectors have an exact unit dot product")
+    return QRoot2(a.dot(b)) / QRoot2(a.norm2 * b.norm2).sqrt()
 
 
 @dataclass(frozen=True)
@@ -195,7 +193,7 @@ def overlap2_closed_form(pa: MPair, pb: MPair) -> RealScalar:
     The denominator is at least 4 since every dot product is >= -1.  The
     result is exact when both pairs are exact, a float when neither is; an
     exact pair against a float pair raises ValueError.  On float pairs each
-    vector is normalized once and the dots are ``unit_dot``'s float sums.
+    vector is normalized once and the dots are formed inline.
     """
     exact = pa.is_exact
     if exact is not pb.is_exact:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Hashable, Protocol, Sequence
 
@@ -37,18 +36,10 @@ class OrthoGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def _adjacency(self) -> dict[int, int]:
-        """Per vertex, its neighbors as an int bitmask: bit w for vertex w."""
-        adj = dict.fromkeys(self.vertices, 0)
-        for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return adj
-
     def neighbors(self, v: int) -> frozenset[int]:
-        mask = self._adjacency[v]
-        return frozenset(w for w in range(mask.bit_length()) if mask >> w & 1)
+        if v not in self.vertices:
+            raise ValueError(f"vertex {v} not in graph")
+        return frozenset(b if a == v else a for a, b in self.edges if v in (a, b))
 
     def delete_vertex(self, v: int) -> OrthoGraph:
         if v not in self.vertices:
@@ -61,11 +52,15 @@ class OrthoGraph:
     def triangles(self) -> list[tuple[int, int, int]]:
         """All triangles as sorted index triples, lexicographically ordered.
 
+        Each vertex's neighbors form an int bitmask, bit w for vertex w.
         Each triangle u < v < w is found once, from its edge (u, v), as a
         bit above v in the common neighbors of u and v; with the edges in
         order and those bits taken lowest first, the list comes out sorted.
         """
-        adj = self._adjacency
+        adj = dict.fromkeys(self.vertices, 0)
+        for u, v in self.edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         found = []
         for u, v in sorted(self.edges):
             common = adj[u] & adj[v] & -(2 << v)
@@ -77,11 +72,18 @@ class OrthoGraph:
 
 
 @dataclass(frozen=True)
-class TriadDyadDecomposition:
-    """Every edge covered exactly once: triangles plus triangle-free edges."""
+class ConstraintSet:
+    """A diagram's triads, each taking exactly one green ray, and its dyads,
+    each taking at most one, over its vertex set.  From a graph, every edge
+    lies in exactly one of them."""
 
     triads: tuple[tuple[int, int, int], ...]
     dyads: tuple[Edge, ...]
+    vertices: frozenset[int]
+
+    @classmethod
+    def from_graph(cls, g: OrthoGraph) -> ConstraintSet:
+        return decompose(g)
 
     def edges(self) -> frozenset[Edge]:
         out: set[Edge] = set(self.dyads)
@@ -119,7 +121,7 @@ def build_graph(catalog: Catalog) -> OrthoGraph:
     return OrthoGraph(frozenset(range(1, CATALOG_SIZE + 1)), edges)
 
 
-def decompose(g: OrthoGraph) -> TriadDyadDecomposition:
+def decompose(g: OrthoGraph) -> ConstraintSet:
     """Triads are the triangles; dyads the edges in no triangle.
 
     Rejects graphs where an edge lies in two triangles, since then the
@@ -135,7 +137,7 @@ def decompose(g: OrthoGraph) -> TriadDyadDecomposition:
                 )
             seen.add(e)
     dyads = tuple(e for e in sorted(g.edges) if e not in seen)
-    return TriadDyadDecomposition(tuple(triads), dyads)
+    return ConstraintSet(tuple(triads), dyads, g.vertices)
 
 
 # Published orthogonality table shared by the real and complex catalogs:
@@ -157,14 +159,16 @@ _REFERENCE_DYADS: tuple[Edge, ...] = (
 )
 
 
-def reference_decomposition() -> TriadDyadDecomposition:
+def reference_decomposition() -> ConstraintSet:
     """The published 16-triad / 24-dyad table, transcribed verbatim."""
-    return TriadDyadDecomposition(_REFERENCE_TRIADS, _REFERENCE_DYADS)
+    return ConstraintSet(
+        _REFERENCE_TRIADS, _REFERENCE_DYADS, frozenset(range(1, CATALOG_SIZE + 1))
+    )
 
 
 def reference_graph() -> OrthoGraph:
     d = reference_decomposition()
-    return OrthoGraph(frozenset(range(1, CATALOG_SIZE + 1)), d.edges())
+    return OrthoGraph(d.vertices, d.edges())
 
 
 #: 120-degree rotation about the (1,1,1) axis: x -> y -> z -> x.

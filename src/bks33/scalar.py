@@ -184,28 +184,20 @@ class ExactComplex:
     Mixing exact and float operands is rejected on purpose.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("real", "imag")
 
-    def __init__(self, re: int | QRoot2 = 0, im: int | QRoot2 = 0) -> None:
-        self.re = re if isinstance(re, QRoot2) else QRoot2(re)
-        self.im = im if isinstance(im, QRoot2) else QRoot2(im)
-
-    @property
-    def real(self) -> QRoot2:
-        return self.re
-
-    @property
-    def imag(self) -> QRoot2:
-        return self.im
+    def __init__(self, real: int | QRoot2 = 0, imag: int | QRoot2 = 0) -> None:
+        self.real = real if isinstance(real, QRoot2) else QRoot2(real)
+        self.imag = imag if isinstance(imag, QRoot2) else QRoot2(imag)
 
     def conjugate(self) -> ExactComplex:
-        return _exact(self.re, -self.im)
+        return _exact(self.real, -self.imag)
 
     def __add__(self, other: object) -> ExactComplex:
         o = _lift_complex(other)
         if o is None:
             return NotImplemented
-        return _exact(self.re + o.re, self.im + o.im)
+        return _exact(self.real + o.real, self.imag + o.imag)
 
     __radd__ = __add__
 
@@ -213,16 +205,18 @@ class ExactComplex:
         o = _lift_complex(other)
         if o is None:
             return NotImplemented
-        return _exact(self.re - o.re, self.im - o.im)
+        return _exact(self.real - o.real, self.imag - o.imag)
 
     def __neg__(self) -> ExactComplex:
-        return _exact(-self.re, -self.im)
+        return _exact(-self.real, -self.imag)
 
     def __mul__(self, other: object) -> ExactComplex:
         o = _lift_complex(other)
         if o is None:
             return NotImplemented
-        return _exact(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        return _exact(
+            self.real * o.real - self.imag * o.imag, self.real * o.imag + self.imag * o.real
+        )
 
     __rmul__ = __mul__
 
@@ -230,46 +224,46 @@ class ExactComplex:
         o = _lift_complex(other)
         if o is None:
             return NotImplemented
-        d = o.re * o.re + o.im * o.im
+        d = o.real * o.real + o.imag * o.imag
         if not d:
             raise ZeroDivisionError("division by zero in Q(sqrt2, i)")
         num = self * o.conjugate()
-        return _exact(num.re / d, num.im / d)
+        return _exact(num.real / d, num.imag / d)
 
     def __eq__(self, other: object) -> bool:
         o = _lift_complex(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.real == o.real and self.imag == o.imag
 
     def __hash__(self) -> int:
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if not self.imag:
+            return hash(self.real)
+        return hash((self.real, self.imag))
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.real) or bool(self.imag)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(float(self.real), float(self.imag))
 
     def __repr__(self) -> str:
-        return f"ExactComplex({self.re!r}, {self.im!r})"
+        return f"ExactComplex({self.real!r}, {self.imag!r})"
 
     def canonical_str(self) -> str:
         """Canonical form ``(<re>)+(<im>)*i`` with zero parts dropped."""
-        if not self.im:
-            return self.re.canonical_str()
-        if not self.re:
-            return f"({self.im.canonical_str()})*i"
-        return f"({self.re.canonical_str()})+({self.im.canonical_str()})*i"
+        if not self.imag:
+            return self.real.canonical_str()
+        if not self.real:
+            return f"({self.imag.canonical_str()})*i"
+        return f"({self.real.canonical_str()})+({self.imag.canonical_str()})*i"
 
     __str__ = canonical_str
 
 
-def _exact(re: QRoot2, im: QRoot2) -> ExactComplex:
+def _exact(real: QRoot2, imag: QRoot2) -> ExactComplex:
     z = _new(ExactComplex)
-    z.re, z.im = re, im
+    z.real, z.imag = real, imag
     return z
 
 

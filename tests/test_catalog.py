@@ -44,8 +44,8 @@ def test_real_catalog_entry_alphabet():
     allowed = {QRoot2(0), QRoot2(1), QRoot2(-1), QRoot2(0, 1), QRoot2(0, -1)}
     for ray in peres_rays():
         for c in ray.components:
-            assert not c.im
-            assert c.re in allowed
+            assert not c.imag
+            assert c.real in allowed
 
 
 def test_mpair_catalog_spot_entries():

@@ -264,7 +264,7 @@ def test_export_cnf_unwritable_path(capsys):
 def test_dimacs_clause_structure():
     cs = ConstraintSet.from_graph(reference_graph())
     lines = cli.dimacs_lines(cs)
-    triad = cs.exactly_one[0]
+    triad = cs.triads[0]
     body = [line for line in lines if not line.startswith(("c", "p"))]
     assert body[0] == f"{triad[0]} {triad[1]} {triad[2]} 0"
     assert body[1] == f"-{triad[0]} -{triad[1]} 0"

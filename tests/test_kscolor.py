@@ -21,7 +21,8 @@ from bks33.kscolor import (
     validate_coloring,
     verify_symmetry_reduction,
 )
-from bks33.orthograph import OrthoGraph, build_graph, reference_graph
+from bks33 import orthograph
+from bks33.orthograph import OrthoGraph, build_graph, reference_decomposition, reference_graph
 
 FULL = ConstraintSet.from_graph(reference_graph())
 
@@ -88,7 +89,7 @@ def test_forced_steps_are_entailed_by_their_cited_constraint():
             assert any(known.get(m) is Color.GREEN for m in others)
         else:
             # an exactly-one triple with both others red forces green
-            assert step.constraint in FULL.exactly_one
+            assert step.constraint in FULL.triads
             assert all(known.get(m) is Color.RED for m in others)
         known[step.ray] = step.color
 
@@ -124,9 +125,14 @@ def test_replay_and_search_agree():
     assert search(FULL).coloring is None
 
 
+def test_constraint_set_is_the_decomposition():
+    assert ConstraintSet is orthograph.ConstraintSet
+    assert FULL == reference_decomposition()
+
+
 def test_single_triad_instance():
     cs = ConstraintSet(
-        exactly_one=((1, 2, 3),), at_most_one=(), vertices=frozenset({1, 2, 3})
+        triads=((1, 2, 3),), dyads=(), vertices=frozenset({1, 2, 3})
     )
     coloring = search(cs).coloring
     assert coloring is not None
@@ -148,8 +154,8 @@ def test_known_delete1_coloring_validates():
 
 def test_validate_coloring_rejects_bad_colorings():
     cs = ConstraintSet(
-        exactly_one=((1, 2, 3),),
-        at_most_one=((3, 4),),
+        triads=((1, 2, 3),),
+        dyads=((3, 4),),
         vertices=frozenset({1, 2, 3, 4}),
     )
     all_red = frozenset()
@@ -183,19 +189,19 @@ def test_deletion_demotes_triads_through_the_ray_to_pairs():
     # the triads through v lose v and join the dyads as at-most-one pairs.
     graph = reference_graph()
     for v in sorted(graph.vertices):
-        demoted = [tuple(m for m in t if m != v) for t in FULL.exactly_one if v in t]
-        kept_pairs = [p for p in FULL.at_most_one if v not in p]
+        demoted = [tuple(m for m in t if m != v) for t in FULL.triads if v in t]
+        kept_pairs = [p for p in FULL.dyads if v not in p]
         rederived = ConstraintSet.from_graph(graph.delete_vertex(v))
-        assert rederived.exactly_one == tuple(t for t in FULL.exactly_one if v not in t)
-        assert rederived.at_most_one == tuple(sorted(kept_pairs + demoted))
+        assert rederived.triads == tuple(t for t in FULL.triads if v not in t)
+        assert rederived.dyads == tuple(sorted(kept_pairs + demoted))
         assert rederived.vertices == FULL.vertices - {v}
 
 
 def brute_force_satisfiable(cs: ConstraintSet) -> bool:
     vs = sorted(cs.vertices)
     pos = {v: i for i, v in enumerate(vs)}
-    triads = [sum(1 << pos[m] for m in t) for t in cs.exactly_one]
-    pairs = [sum(1 << pos[m] for m in p) for p in cs.at_most_one]
+    triads = [sum(1 << pos[m] for m in t) for t in cs.triads]
+    pairs = [sum(1 << pos[m] for m in p) for p in cs.dyads]
     for mask in range(1 << len(vs)):
         if all((mask & t).bit_count() == 1 for t in triads) and all(
             (mask & p).bit_count() <= 1 for p in pairs
@@ -300,8 +306,8 @@ def closure_oracle(greens, cs: ConstraintSet):
     greens or some triad is all red.
     """
     green, red = set(greens), set()
-    constraints = [set(c) for c in cs.exactly_one + cs.at_most_one]
-    triads = [set(t) for t in cs.exactly_one]
+    constraints = [set(c) for c in cs.triads + cs.dyads]
+    triads = [set(t) for t in cs.triads]
     changed = True
     while changed:
         changed = False

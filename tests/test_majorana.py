@@ -142,11 +142,17 @@ def test_pair_order_invariance():
         assert overlap2_closed_form(MPair(a1, a2), MPair(b2, b1)) == pytest.approx(base)
 
 
+def float_unit_dot(u: MVector, v: MVector) -> float:
+    """Dot product of the unit() directions, summed x, y, z in order."""
+    x, y = u.unit(), v.unit()
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
 def test_denominator_positivity():
     rng = Random(11)
     for _ in range(200):
-        ta = unit_dot(random_mvector(rng), random_mvector(rng))
-        tb = unit_dot(random_mvector(rng), random_mvector(rng))
+        ta = float_unit_dot(random_mvector(rng), random_mvector(rng))
+        tb = float_unit_dot(random_mvector(rng), random_mvector(rng))
         assert (3 + ta) * (3 + tb) >= 4 - 1e-9
     pairs = penrose_mpairs()
     for p in pairs:
@@ -213,9 +219,14 @@ def test_unit_dot_outside_field_raises():
         unit_dot(MVector(1, 1, 1), MVector(1, 0, 0))
 
 
-def test_unit_dot_float_fallback():
-    value = unit_dot(MVector(1.0, 1.0, 1.0), MVector(1, 0, 0))
-    assert value == pytest.approx(1 / math.sqrt(3))
+@pytest.mark.parametrize("a, b", [
+    (MVector(1.0, 1.0, 1.0), MVector(1, 0, 0)),
+    (MVector(1, 0, 0), MVector(0.0, 1.0, 1.0)),
+    (MVector(0.6, 0.8, 0.0), MVector(0.0, 0.6, 0.8)),
+])
+def test_unit_dot_rejects_float_mvectors(a, b):
+    with pytest.raises(ValueError, match="only exact M-vectors"):
+        unit_dot(a, b)
 
 
 def test_mpair_unordered_equality_and_match():
@@ -255,12 +266,8 @@ def test_pair_with_one_float_vector_is_a_float_pair():
 
 
 def unit_dot_formula(pa, pb):
-    """The closed form spelled out over unit() dots, in unit_dot's sum order."""
-
-    def dot(u, v):
-        x, y = u.unit(), v.unit()
-        return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
-
+    """The closed form spelled out over unit() dots."""
+    dot = float_unit_dot
     a1, a2, b1, b2 = pa.first, pa.second, pb.first, pb.second
     t11, t12, t21, t22 = dot(a1, b1), dot(a1, b2), dot(a2, b1), dot(a2, b2)
     ta, tb = dot(a1, a2), dot(b1, b2)

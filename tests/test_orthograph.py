@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bks33.catalog import FamilyParams, family_rays, penrose_mpairs, peres_rays
 from bks33.orthograph import (
     AmbiguousDecompositionError,
+    ConstraintSet,
     NotClosedError,
     OrthoGraph,
     ROTATION_111,
@@ -33,9 +34,10 @@ def test_real_graph_has_72_edges_and_reference_decomposition():
     d = decompose(g)
     assert len(d.triads) == 16
     assert len(d.dyads) == 24
-    ref = reference_decomposition()
-    assert set(d.triads) == set(ref.triads)
-    assert set(d.dyads) == set(ref.dyads)
+    # whole values: triads and dyads in order, and the vertex set
+    assert d == reference_decomposition()
+    assert d == ConstraintSet.from_graph(g)
+    assert d.vertices == frozenset(range(1, 34))
     assert (1, 2, 3) in d.triads
     assert (10, 24) in d.dyads
 
@@ -278,3 +280,13 @@ def test_delete_vertex_and_neighbors():
     assert reduced.edge_count == 72 - 8
     with pytest.raises(ValueError):
         reduced.delete_vertex(1)
+
+
+def test_neighbors_of_a_vertex_not_in_the_graph_raises():
+    reduced = reference_graph().delete_vertex(1)
+    with pytest.raises(ValueError, match="not in graph"):
+        reduced.neighbors(1)
+    with pytest.raises(ValueError, match="not in graph"):
+        reduced.neighbors(34)
+    isolated = OrthoGraph(frozenset({1, 2}), frozenset())
+    assert isolated.neighbors(1) == frozenset()
