@@ -81,15 +81,16 @@ class MVector:
         ))
 
 
-def unit_dot(a: MVector, b: MVector) -> QRoot2:
-    """Exact dot product of the normalized directions of two exact M-vectors.
-
-    Requires the integer norm2(a) * norm2(b) to be of the form s^2 or
-    2*s^2, which holds for all catalog vectors.
-    """
-    if not (a.is_exact and b.is_exact):
-        raise ValueError("only exact M-vectors have an exact unit dot product")
-    return QRoot2(a.dot(b)) / QRoot2(a.norm2 * b.norm2).sqrt()
+def _root(n: int) -> tuple[int, int]:
+    """sqrt(n) as (u, v), meaning u + v*sqrt2, for an int n = s^2 or 2*s^2."""
+    s = math.isqrt(n)
+    if s * s == n:
+        return s, 0
+    s = math.isqrt(n // 2)
+    if 2 * s * s == n:
+        return 0, s
+    raise ValueError(f"sqrt({n}) is not in Q(sqrt2): an M-vector norm product "
+                     "must be of the form s^2 or 2*s^2")
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ class MPair:
     def orthogonal_to(self, other: MPair) -> bool:
         """Exact zero test of the closed form for exact pairs, else < DEFAULT_TOL^2."""
         value = overlap2_closed_form(self, other)
-        if self.is_exact and other.is_exact:
+        if type(value) is QRoot2:
             return value == 0
         return value < DEFAULT_TOL * DEFAULT_TOL
 
@@ -194,6 +195,13 @@ def overlap2_closed_form(pa: MPair, pb: MPair) -> RealScalar:
     result is exact when both pairs are exact, a float when neither is; an
     exact pair against a float pair raises ValueError.  On float pairs each
     vector is normalized once and the dots are formed inline.
+
+    On exact pairs, with integer dots d and norms n, each unit dot is
+    d / sqrt(n_u * n_v), and numerator and denominator are multiplied by
+    R = sqrt(|a1|^2 |a2|^2 |b1|^2 |b2|^2).  That leaves X / Y with X and Y
+    in Z[sqrt2], built from ints and the square roots of the six norm
+    products, which must each be of the form s^2 or 2*s^2 (ValueError
+    otherwise); the pair is orthogonal iff X = 0.
     """
     exact = pa.is_exact
     if exact is not pb.is_exact:
@@ -201,18 +209,31 @@ def overlap2_closed_form(pa: MPair, pb: MPair) -> RealScalar:
     a1, a2 = pa.first, pa.second
     b1, b2 = pb.first, pb.second
     if exact:
-        t11, t12 = unit_dot(a1, b1), unit_dot(a1, b2)
-        t21, t22 = unit_dot(a2, b1), unit_dot(a2, b2)
-        ta, tb = unit_dot(a1, a2), unit_dot(b1, b2)
-    else:
-        (x1, y1, z1), (x2, y2, z2) = a1.unit(), a2.unit()
-        (u1, v1, w1), (u2, v2, w2) = b1.unit(), b2.unit()
-        t11 = x1 * u1 + y1 * v1 + z1 * w1
-        t12 = x1 * u2 + y1 * v2 + z1 * w2
-        t21 = x2 * u1 + y2 * v1 + z2 * w1
-        t22 = x2 * u2 + y2 * v2 + z2 * w2
-        ta = x1 * x2 + y1 * y2 + z1 * z2
-        tb = u1 * u2 + v1 * v2 + w1 * w2
+        n1, n2, m1, m2 = a1.norm2, a2.norm2, b1.norm2, b2.norm2
+        d11, d12, d21, d22 = a1.dot(b1), a1.dot(b2), a2.dot(b1), a2.dot(b2)
+        da, db = a1.dot(a2), b1.dot(b2)
+        # (wxy + vxy*sqrt2)^2 = |ax|^2 |by|^2, and t11 * R = d11 * (w22 + v22*sqrt2)
+        (w11, v11), (w12, v12) = _root(n1 * m1), _root(n1 * m2)
+        (w21, v21), (w22, v22) = _root(n2 * m1), _root(n2 * m2)
+        (wa, va), (wb, vb) = _root(n1 * n2), _root(m1 * m2)
+        r0, r1 = wa * wb + 2 * va * vb, wa * vb + va * wb
+        # (t11 + t22 + t12 + t21) * R
+        cross0 = d11 * w22 + d22 * w11 + d12 * w21 + d21 * w12
+        cross1 = d11 * v22 + d22 * v11 + d12 * v21 + d21 * v12
+        # (ta + tb) * R
+        side0, side1 = da * wb + db * wa, da * vb + db * va
+        num0 = 3 * r0 + 2 * cross0 + side0 + 2 * (d11 * d22 + d12 * d21) - da * db
+        num1 = 3 * r1 + 2 * cross1 + side1
+        den0, den1 = 9 * r0 + 3 * side0 + da * db, 9 * r1 + 3 * side1
+        return QRoot2(num0, num1) / QRoot2(den0, den1)
+    (x1, y1, z1), (x2, y2, z2) = a1.unit(), a2.unit()
+    (u1, v1, w1), (u2, v2, w2) = b1.unit(), b2.unit()
+    t11 = x1 * u1 + y1 * v1 + z1 * w1
+    t12 = x1 * u2 + y1 * v2 + z1 * w2
+    t21 = x2 * u1 + y2 * v1 + z2 * w1
+    t22 = x2 * u2 + y2 * v2 + z2 * w2
+    ta = x1 * x2 + y1 * y2 + z1 * z2
+    tb = u1 * u2 + v1 * v2 + w1 * w2
     num = 2 * ((1 + t11) * (1 + t22) + (1 + t12) * (1 + t21)) - (1 - ta) * (1 - tb)
     den = (3 + ta) * (3 + tb)
     return num / den

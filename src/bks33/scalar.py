@@ -135,21 +135,6 @@ class QRoot2:
     def __ge__(self, other: object) -> bool:
         return (self - other).sign() >= 0
 
-    def sqrt(self) -> QRoot2:
-        """Exact square root, defined for rational values of the form s^2 or 2*s^2."""
-        if self.sign() < 0:
-            raise ValueError("square root of a negative value")
-        if self._q:
-            raise ValueError("exact sqrt is only supported for rational values")
-        n = self._p * self._den  # sqrt(p/den) = sqrt(p*den)/den
-        r = math.isqrt(n)
-        if r * r == n:
-            return _qroot2(r, 0, self._den)
-        r = math.isqrt(n // 2)
-        if 2 * r * r == n:
-            return _qroot2(0, r, self._den)
-        raise ValueError(f"{self} has no square root in Q(sqrt2)")
-
     def __float__(self) -> float:
         return self._p / self._den + self._q / self._den * _SQRT2
 
@@ -281,3 +266,21 @@ RealScalar = Union[QRoot2, float]
 def abs2(z: Scalar) -> RealScalar:
     """Squared magnitude, exact for ExactComplex."""
     return z.real * z.real + z.imag * z.imag
+
+
+def integer_parts(values: tuple[ExactComplex, ...]) -> tuple[tuple[int, int, int, int], ...]:
+    """The (p, q, r, s) of each value as (p + q*sqrt2) + i*(r + s*sqrt2), all
+    values multiplied by the least common denominator of their parts.
+
+    That common factor is one positive integer, so for the components of a
+    ray the result is the same ray with every part an ``int``.
+    """
+    # a list, not a generator: unpacking a generator grows and resizes a tuple,
+    # and the interpreter keeps up to 2,000 freed tuples of each size
+    den = math.lcm(*[part._den for z in values for part in (z.real, z.imag)])
+    out = []
+    for z in values:
+        re, im = z.real, z.imag
+        f, g = den // re._den, den // im._den
+        out.append((re._p * f, re._q * f, im._p * g, im._q * g))
+    return tuple(out)

@@ -1,0 +1,56 @@
+"""Generic exact arithmetic in ``QRoot2`` and ``ExactComplex``, as a test oracle.
+
+The package decides exact orthogonality and computes ray keys with integer
+kernels.  This module spells out the same quantities with the generic field
+operations, term by term as the formulas read:
+
+* ``inner``: the Hermitian inner product summed in ``ExactComplex``;
+* ``key``: each component divided by the first nonzero one;
+* ``unit_dot``: the cosine of two integer M-vectors, d / sqrt(N) with d the
+  integer dot and N the integer norm product, whose root is taken in
+  Q(sqrt2); ``closed_form``: the Majorana closed form over six of them.
+"""
+
+from __future__ import annotations
+
+import math
+
+from bks33.majorana import MPair, MVector
+from bks33.rays import Ray
+from bks33.scalar import ExactComplex, QRoot2
+
+
+def inner(a: Ray, b: Ray) -> ExactComplex:
+    total = ExactComplex(0)
+    for x, y in zip(a.components, b.components):
+        total = total + x.conjugate() * y
+    return total
+
+
+def key(ray: Ray) -> tuple[ExactComplex, ...]:
+    lead = next(c for c in ray.components if c)
+    return tuple(c / lead for c in ray.components)
+
+
+def field_sqrt(n: int) -> QRoot2:
+    """sqrt(n) for an int n of the form s^2 or 2*s^2; ValueError otherwise."""
+    s = math.isqrt(n)
+    if s * s == n:
+        return QRoot2(s)
+    s = math.isqrt(n // 2)
+    if 2 * s * s == n:
+        return QRoot2(0, s)
+    raise ValueError(f"sqrt({n}) is not in Q(sqrt2)")
+
+
+def unit_dot(u: MVector, v: MVector) -> QRoot2:
+    return QRoot2(u.dot(v)) / field_sqrt(u.norm2 * v.norm2)
+
+
+def closed_form(pa: MPair, pb: MPair) -> QRoot2:
+    a1, a2, b1, b2 = pa.first, pa.second, pb.first, pb.second
+    t11, t12 = unit_dot(a1, b1), unit_dot(a1, b2)
+    t21, t22 = unit_dot(a2, b1), unit_dot(a2, b2)
+    ta, tb = unit_dot(a1, a2), unit_dot(b1, b2)
+    num = 2 * ((1 + t11) * (1 + t22) + (1 + t12) * (1 + t21)) - (1 - ta) * (1 - tb)
+    return num / ((3 + ta) * (3 + tb))

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+import exact_oracle as oracle
 from bks33.catalog import penrose_from_family, penrose_mpairs
 from bks33.majorana import (
     MPair,
@@ -15,7 +16,6 @@ from bks33.majorana import (
     spinor_from_direction,
     state_from_mpair,
     state_overlap2,
-    unit_dot,
 )
 from bks33.orthograph import reference_decomposition
 from bks33.rays import Ray
@@ -156,16 +156,26 @@ def test_denominator_positivity():
         assert (3 + ta) * (3 + tb) >= 4 - 1e-9
     pairs = penrose_mpairs()
     for p in pairs:
-        ta = unit_dot(p.first, p.second)
+        ta = oracle.unit_dot(p.first, p.second)
         assert ((3 + ta) * (3 + ta)).sign() > 0
         assert (3 + ta) * (3 + ta) >= 4
+        # the kernel's X/Y carries the same denominator, times a positive root
+        assert overlap2_closed_form(p, p) == 1
+    for p, q in combinations(pairs, 2):
+        value = overlap2_closed_form(p, q)
+        assert value.sign() >= 0 and (1 - value).sign() >= 0
 
 
 def test_unit_dot_exact_path():
-    assert unit_dot(MVector(0, 1, 1), MVector(0, 1, -1)) == 0
-    assert unit_dot(MVector(1, 0, 0), MVector(0, 1, 1)) == 0
-    assert unit_dot(MVector(1, 1, 0), MVector(1, 0, 0)) == QRoot2(0, 1) / 2
-    assert unit_dot(MVector(1, 1, 0), MVector(-1, -1, 0)) == -1
+    # a doubled pair (u, u) against (v, v) has overlap2 ((1 + t) / 2)^2 for
+    # the unit dot t of u and v; here t is 0, 0, sqrt2/2 and -1
+    for u, v, t in (
+        (MVector(0, 1, 1), MVector(0, 1, -1), QRoot2(0)),
+        (MVector(1, 0, 0), MVector(0, 1, 1), QRoot2(0)),
+        (MVector(1, 1, 0), MVector(1, 0, 0), QRoot2(0, 1) / 2),
+        (MVector(1, 1, 0), MVector(-1, -1, 0), QRoot2(-1)),
+    ):
+        assert overlap2_closed_form(MPair(u, u), MPair(v, v)) == ((1 + t) / 2) * ((1 + t) / 2)
 
 
 def test_int_components_stay_exact_ints():
@@ -182,15 +192,21 @@ BASE_DIRECTIONS = ((1, 0, 0), (0, -1, 0), (1, 1, 0), (0, 1, -1), (-1, 0, 1))
 
 @pytest.mark.parametrize("k", range(1, 8))
 def test_unit_dot_exact_for_scaled_norms(k):
-    # norms k^2 * {1, 2} against norms j^2 * {1, 2}: the product is s^2 or 2*s^2
-    for u in BASE_DIRECTIONS:
-        for v in BASE_DIRECTIONS:
-            base = unit_dot(MVector(*u), MVector(*v))
-            cosine = sum(a * b for a, b in zip(u, v)) / math.sqrt(
-                sum(a * a for a in u) * sum(b * b for b in v))
-            assert float(base) == pytest.approx(cosine, abs=1e-15)
+    # norms k^2 * {1, 2} against norms j^2 * {1, 2}: every unit dot has a norm
+    # product s^2 or 2*s^2, and the closed form does not see the scale
+    pairs = list(combinations(BASE_DIRECTIONS, 2)) + [(u, u) for u in BASE_DIRECTIONS]
+    for u1, u2 in pairs:
+        for v1, v2 in pairs:
+            base = overlap2_closed_form(MPair(MVector(*u1), MVector(*u2)),
+                                        MPair(MVector(*v1), MVector(*v2)))
+            approx = overlap2_closed_form(MPair(MVector(*map(float, u1)), MVector(*map(float, u2))),
+                                          MPair(MVector(*map(float, v1)), MVector(*map(float, v2))))
+            assert float(base) == pytest.approx(approx, abs=1e-15)
             for j in range(1, 8):
-                scaled = unit_dot(MVector(*(k * a for a in u)), MVector(*(j * b for b in v)))
+                scaled = overlap2_closed_form(
+                    MPair(MVector(*(k * a for a in u1)), MVector(*(j * a for a in u2))),
+                    MPair(MVector(*(j * b for b in v1)), MVector(*(k * b for b in v2))),
+                )
                 assert isinstance(scaled, QRoot2) and scaled == base
 
 
@@ -215,8 +231,17 @@ def test_integer_rescaled_catalog_keeps_zero_pattern_and_witness():
 
 
 def test_unit_dot_outside_field_raises():
+    # norm product 3 * 1 is neither s^2 nor 2*s^2
+    diagonal, axis = MVector(1, 1, 1), MVector(1, 0, 0)
     with pytest.raises(ValueError):
-        unit_dot(MVector(1, 1, 1), MVector(1, 0, 0))
+        overlap2_closed_form(MPair(diagonal, axis), MPair(axis, axis))
+    with pytest.raises(ValueError):
+        overlap2_closed_form(MPair(axis, axis), MPair(diagonal, diagonal))
+    # norm products 3 * 3: pairs of norm-3 vectors stay in the field
+    other = MVector(1, -1, 1)
+    value = overlap2_closed_form(MPair(diagonal, other), MPair(other, MVector(-1, 1, 1)))
+    assert value == oracle.closed_form(MPair(diagonal, other), MPair(other, MVector(-1, 1, 1)))
+    assert overlap2_closed_form(MPair(diagonal, other), MPair(other, diagonal)) == 1
 
 
 @pytest.mark.parametrize("a, b", [
@@ -225,8 +250,10 @@ def test_unit_dot_outside_field_raises():
     (MVector(0.6, 0.8, 0.0), MVector(0.0, 0.6, 0.8)),
 ])
 def test_unit_dot_rejects_float_mvectors(a, b):
-    with pytest.raises(ValueError, match="only exact M-vectors"):
-        unit_dot(a, b)
+    exact = penrose_mpairs()[9]
+    for pa, pb in ((MPair(a, b), exact), (exact, MPair(b, a))):
+        with pytest.raises(ValueError, match="exact M-pair with a float M-pair"):
+            overlap2_closed_form(pa, pb)
 
 
 def test_mpair_unordered_equality_and_match():

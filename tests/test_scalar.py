@@ -69,16 +69,6 @@ def test_qroot2_signs():
     assert QRoot2(1, -1) < 0 < QRoot2(3, -2)
 
 
-def test_qroot2_sqrt():
-    assert QRoot2(4).sqrt() == QRoot2(2)
-    assert QRoot2(2).sqrt() == QRoot2(0, 1)
-    assert (QRoot2(1) / 2).sqrt() == QRoot2(0, 1) / 2
-    with pytest.raises(ValueError):
-        QRoot2(3).sqrt()
-    with pytest.raises(ValueError):
-        QRoot2(0, 1).sqrt()
-
-
 def test_canonical_strings():
     assert (QRoot2(2, -1) / 4).canonical_str() == "(2-1*sqrt2)/4"
     assert (QRoot2(3) / 8).canonical_str() == "3/8"
@@ -267,3 +257,25 @@ def test_exact_hot_path_creates_no_fraction(monkeypatch, entries):
     monkeypatch.undo()
     assert graph.edge_count == 72 and report.passed
     assert created == []
+
+
+@pytest.mark.parametrize("entries, most_divisions", [(peres_rays, 0), (penrose_mpairs, 528)])
+def test_exact_pair_tests_take_the_integer_route(monkeypatch, entries, most_divisions):
+    # the ray kernel multiplies and divides no exact scalar, and the M-pair
+    # kernel divides once per pair, for the quotient it returns
+    catalog = entries()
+    counts = {"mul": 0, "div": 0}
+
+    def counting(op, original):
+        def counted(*args):
+            counts[op] += 1
+            return original(*args)
+        return counted
+
+    for cls in (QRoot2, ExactComplex):
+        for name, op in (("__mul__", "mul"), ("__rmul__", "mul"), ("__truediv__", "div")):
+            monkeypatch.setattr(cls, name, counting(op, vars(cls)[name]))
+    graph = build_graph(catalog)
+    monkeypatch.undo()
+    assert graph.edge_count == 72
+    assert counts["mul"] == 0 and counts["div"] <= most_divisions
