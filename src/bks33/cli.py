@@ -37,54 +37,39 @@ CLOSED_FORM_TOL = 1e-10
 
 
 @dataclass
-class Check:
-    name: str
-    passed: bool
-    details: dict = field(default_factory=dict)
-
-
-@dataclass
 class Report:
+    """A command's params and checks, each check the dict ``_emit`` prints."""
+
     command: str
     params: dict
-    checks: list[Check] = field(default_factory=list)
+    checks: list[dict] = field(default_factory=list)
 
     def add(self, name: str, passed: bool, **details) -> None:
-        self.checks.append(Check(name, bool(passed), details))
+        self.checks.append({"name": name, "passed": bool(passed), "details": details})
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "command": self.command,
-            "params": self.params,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "details": c.details}
-                for c in self.checks
-            ],
-            "passed": self.passed,
-        }
-
-
-def report_to_json(report: Report) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        return all(c["passed"] for c in self.checks)
 
 
 def _emit(report: Report, as_json: bool) -> int:
     out = sys.stdout
     if as_json:
-        out.write(report_to_json(report))
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "command": report.command,
+            "params": report.params,
+            "checks": report.checks,
+            "passed": report.passed,
+        }
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         for c in report.checks:
-            out.write(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}\n")
-            if not c.passed and c.details:
-                out.write(f"       {json.dumps(c.details, sort_keys=True)}\n")
-        n = len(report.checks)
-        ok = sum(1 for c in report.checks if c.passed)
-        out.write(f"{'OK' if report.passed else 'FAILED'} ({ok}/{n} checks)\n")
+            out.write(f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}\n")
+            if not c["passed"] and c["details"]:
+                out.write(f"       {json.dumps(c['details'], sort_keys=True)}\n")
+        ok = sum(c["passed"] for c in report.checks)
+        out.write(f"{'OK' if report.passed else 'FAILED'} ({ok}/{len(report.checks)} checks)\n")
     return 0 if report.passed else 1
 
 
@@ -113,19 +98,11 @@ def _catalog_payload(args) -> tuple[list[dict], dict]:
     if args.set == "peres":
         return [_ray_row(r) for r in cat.peres_rays()], {}
     if args.set == "penrose":
-        rows = []
-        for i, p in enumerate(cat.penrose_mpairs(), start=1):
-            rows.append(
-                {
-                    "index": i,
-                    "ray_class": cat.class_of(i).value,
-                    "m_vectors": [
-                        [int(p.first.x), int(p.first.y), int(p.first.z)],
-                        [int(p.second.x), int(p.second.y), int(p.second.z)],
-                    ],
-                }
-            )
-        return rows, {}
+        return [
+            {"index": i, "ray_class": cat.class_of(i).value,
+             "m_vectors": [[p.first.x, p.first.y, p.first.z], [p.second.x, p.second.y, p.second.z]]}
+            for i, p in enumerate(cat.penrose_mpairs(), start=1)
+        ], {}
     rays = cat.family_rays(cat.FamilyParams(args.alpha, args.beta, args.gamma))
     k = rays[7].components[1]  # ray 8 is (1, k, 0)
     return [_ray_row(r) for r in rays], {"k_modulus": abs(complex(k))}
@@ -262,7 +239,7 @@ def _trace_payload(trace: kscolor.ProofTrace) -> dict:
 
 def cmd_prove(args) -> int:
     report = Report("prove", {"mode": args.mode})
-    cs = orthograph.ConstraintSet.from_graph(orthograph.reference_graph())
+    cs = orthograph.decompose(orthograph.reference_graph())
     trace = kscolor.replay_proof(cs)
     report.add("replay_contradiction", trace.divergence is None, trace=_trace_payload(trace))
     result = kscolor.search(cs)
@@ -293,7 +270,7 @@ def cmd_critical(args) -> int:
     report.add(f"delete_{ray}_colorable", greens is not None, greens=sorted(greens or ()))
     if ray == 1:
         known = kscolor.KNOWN_DELETE1_GREENS
-        reduced = orthograph.ConstraintSet.from_graph(graph.delete_vertex(1))
+        reduced = orthograph.decompose(graph.delete_vertex(1))
         report.add(
             "delete_1_known_coloring_valid",
             kscolor.validate_coloring(known, reduced),
@@ -337,7 +314,7 @@ def cmd_export_cnf(args) -> int:
     if args.delete is not None:
         graph = graph.delete_vertex(args.delete)
         comments.append(f"ray {args.delete} deleted")
-    cs = orthograph.ConstraintSet.from_graph(graph)
+    cs = orthograph.decompose(graph)
     lines = dimacs_lines(cs, comments)
     try:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -366,9 +343,7 @@ def cmd_majorana(args) -> int:
         pa = majorana.MPair(majorana.random_mvector(rng), majorana.random_mvector(rng))
         pb = majorana.MPair(majorana.random_mvector(rng), majorana.random_mvector(rng))
         closed = majorana.overlap2_closed_form(pa, pb)
-        explicit = majorana.state_overlap2(
-            majorana.state_from_mpair(pa), majorana.state_from_mpair(pb)
-        )
+        explicit = overlap2(majorana.state_from_mpair(pa), majorana.state_from_mpair(pb))
         max_dev = max(max_dev, abs(closed - explicit))
     report.add(
         "closed_form_matches_states",

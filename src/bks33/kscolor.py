@@ -31,6 +31,7 @@ from .orthograph import (
     OrthoGraph,
     ROTATION_111,
     X_AXIS_ROTATIONS,
+    decompose,
     induced_permutation,
     is_automorphism,
 )
@@ -386,7 +387,7 @@ def coloring_without(g: OrthoGraph, ray: int) -> frozenset[int] | None:
     found, re-checked by the independent validator, or None where no
     coloring is found or the validator rejects it.
     """
-    reduced = ConstraintSet.from_graph(g.delete_vertex(ray))
+    reduced = decompose(g.delete_vertex(ray))
     greens = search(reduced).coloring
     return greens if greens is not None and validate_coloring(greens, reduced) else None
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from random import Random
 from typing import Union
@@ -39,20 +39,19 @@ class MVector:
     """A nonzero direction in R^3, stored unnormalized.
 
     int components keep the vector on the exact path; any other component
-    puts it on the floating path.
+    puts it on the floating path.  ``is_exact`` is decided on construction.
     """
 
     x: RealLike
     y: RealLike
     z: RealLike
+    is_exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.x or self.y or self.z):
             raise ValueError("an M-vector must be nonzero")
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.x, int) and isinstance(self.y, int) and isinstance(self.z, int)
+        object.__setattr__(self, "is_exact", isinstance(self.x, int)
+                           and isinstance(self.y, int) and isinstance(self.z, int))
 
     @cached_property
     def norm2(self) -> RealLike:
@@ -115,9 +114,7 @@ class MPair:
     def orthogonal_to(self, other: MPair) -> bool:
         """Exact zero test of the closed form for exact pairs, else < DEFAULT_TOL^2."""
         value = overlap2_closed_form(self, other)
-        if type(value) is QRoot2:
-            return value == 0
-        return value < DEFAULT_TOL * DEFAULT_TOL
+        return value == 0 if self.is_exact else value < DEFAULT_TOL * DEFAULT_TOL
 
 
 def spinor_from_direction(v: MVector) -> tuple[complex, complex]:
@@ -240,15 +237,19 @@ def overlap2_closed_form(pa: MPair, pb: MPair) -> RealScalar:
 
 
 def state_overlap2(sa: Ray, sb: Ray) -> float:
-    """``overlap2``, kept under the name ``perfbench/bench_workloads.py`` calls."""
+    """``rays.overlap2`` under a second name; ``perfbench/`` is its only caller."""
     return overlap2(sa, sb)
 
 
-def mpairs_match(p: MPair, q: MPair, tol: float = 1e-7) -> bool:
-    """Unordered match of two pairs, comparing unit vectors componentwise."""
+#: Largest per-component difference of unit vectors ``mpairs_match`` accepts.
+MATCH_TOL = 1e-7
+
+
+def mpairs_match(p: MPair, q: MPair) -> bool:
+    """Unordered match of two pairs, unit vectors within ``MATCH_TOL`` componentwise."""
 
     def close(u: MVector, v: MVector) -> bool:
-        return all(abs(a - b) <= tol for a, b in zip(u.unit(), v.unit()))
+        return all(abs(a - b) <= MATCH_TOL for a, b in zip(u.unit(), v.unit()))
 
     return (close(p.first, q.first) and close(p.second, q.second)) or (
         close(p.first, q.second) and close(p.second, q.first)

@@ -83,6 +83,7 @@ class ConstraintSet:
 
     @classmethod
     def from_graph(cls, g: OrthoGraph) -> ConstraintSet:
+        """``decompose`` under a second name; ``perfbench/`` is its only caller."""
         return decompose(g)
 
     def edges(self) -> frozenset[Edge]:

@@ -20,7 +20,6 @@ from bks33.catalog import (
 )
 from bks33.kscolor import (
     Choice,
-    ConstraintSet,
     KNOWN_DELETE1_GREENS,
     criticality_audit,
     replay_proof,
@@ -36,7 +35,6 @@ from bks33.majorana import (
     overlap2_closed_form,
     random_mvector,
     state_from_mpair,
-    state_overlap2,
 )
 from bks33.orthograph import (
     ROTATION_111,
@@ -147,7 +145,7 @@ def test_criterion_2_diagram_identity():
 
 
 def test_criterion_3_non_colorability():
-    cs = ConstraintSet.from_graph(reference_graph())
+    cs = decompose(reference_graph())
     result = search(cs)
     trace = replay_proof(cs)
     replay_ok = (
@@ -207,9 +205,9 @@ def test_criterion_5_criticality():
     audit = criticality_audit(graph)
     all_ok = len(audit) == 33
     for deleted, greens in audit.items():
-        reduced = ConstraintSet.from_graph(graph.delete_vertex(deleted))
+        reduced = decompose(graph.delete_vertex(deleted))
         all_ok = all_ok and greens is not None and validate_coloring(greens, reduced)
-    reduced_1 = ConstraintSet.from_graph(graph.delete_vertex(1))
+    reduced_1 = decompose(graph.delete_vertex(1))
     check(5, "criticality (33/33 deletions colorable, known ray-1 coloring valid)",
           all_ok and validate_coloring(KNOWN_DELETE1_GREENS, reduced_1))
 
@@ -236,7 +234,7 @@ def test_criterion_7_majorana_consistency():
         pa = MPair(random_mvector(rng), random_mvector(rng))
         pb = MPair(random_mvector(rng), random_mvector(rng))
         closed = overlap2_closed_form(pa, pb)
-        explicit = state_overlap2(state_from_mpair(pa), state_from_mpair(pb))
+        explicit = overlap2(state_from_mpair(pa), state_from_mpair(pb))
         max_dev = max(max_dev, abs(closed - explicit))
 
     worst_roundtrip = 0.0
@@ -247,7 +245,7 @@ def test_criterion_7_majorana_consistency():
             complex(rng.gauss(0, 1), rng.gauss(0, 1)),
         ))
         back = state_from_mpair(mpair_from_state(state))
-        worst_roundtrip = max(worst_roundtrip, 1.0 - state_overlap2(state, back))
+        worst_roundtrip = max(worst_roundtrip, 1.0 - overlap2(state, back))
 
     check(7, "Majorana consistency (closed form within 1e-10, roundtrip within 1e-8)",
           max_dev < 1e-10 and worst_roundtrip < 1e-8,
@@ -259,7 +257,7 @@ def test_criterion_8_penrose_recovery():
     expected = penrose_mpairs()
     matched = sum(
         1 for got, want in zip(recovered, expected)
-        if mpairs_match(got, want, tol=1e-7)
+        if mpairs_match(got, want)
     )
     check(8, "recovery of all 33 M-pairs through the rotated family (1e-7)",
           len(recovered) == 33 and matched == 33,

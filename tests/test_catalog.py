@@ -280,7 +280,7 @@ def test_recovery_reproduces_all_mpairs():
     expected = penrose_mpairs()
     assert len(recovered) == 33
     for got, want in zip(recovered, expected):
-        assert mpairs_match(got, want, tol=1e-7)
+        assert mpairs_match(got, want)
 
 
 def test_recovery_anchor_entries():

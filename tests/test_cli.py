@@ -8,8 +8,8 @@ import pytest
 from dimacs_oracle import clause_satisfied, dpll, parse_dimacs
 
 from bks33 import cli, orthograph
-from bks33.kscolor import ConstraintSet, criticality_audit, validate_coloring
-from bks33.orthograph import OrthoGraph, reference_graph
+from bks33.kscolor import criticality_audit, validate_coloring
+from bks33.orthograph import OrthoGraph, decompose, reference_graph
 
 
 def run(capsys, *argv):
@@ -163,7 +163,7 @@ def test_prove_reports_a_diverging_replay(capsys, monkeypatch):
     assert names["search_unsat"]["passed"] is False
     # the failing check shows its counterexample
     greens = frozenset(names["search_unsat"]["details"]["greens"])
-    assert validate_coloring(greens, ConstraintSet.from_graph(broken))
+    assert validate_coloring(greens, decompose(broken))
 
 
 # --- critical ---------------------------------------------------------------
@@ -262,7 +262,7 @@ def test_export_cnf_unwritable_path(capsys):
 
 
 def test_dimacs_clause_structure():
-    cs = ConstraintSet.from_graph(reference_graph())
+    cs = decompose(reference_graph())
     lines = cli.dimacs_lines(cs)
     triad = cs.triads[0]
     body = [line for line in lines if not line.startswith(("c", "p"))]
@@ -373,5 +373,9 @@ def test_exit_status_reflects_failures(capsys):
     report.add("broken", False, reason="x")
     assert report.passed is False
     assert cli._emit(report, as_json=False) == 1
-    out = capsys.readouterr().out
-    assert "[FAIL] broken" in out
+    assert capsys.readouterr().out == (
+        "[PASS] ok\n"
+        "[FAIL] broken\n"
+        '       {"reason": "x"}\n'
+        "FAILED (1/2 checks)\n"
+    )

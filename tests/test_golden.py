@@ -5,7 +5,7 @@ same command, for example
 
     PYTHONPATH=src python -m bks33 verify --set peres --json > tests/golden/verify-peres.json
 
-and list the change in CHANGES.md.
+(without ``--json`` for the ``.txt`` text reports) and list the change in CHANGES.md.
 """
 
 import os
@@ -29,6 +29,8 @@ REPORTS = {
     "critical.json": ["critical", "--json"],
     "critical-ray-5.json": ["critical", "--ray", "5", "--json"],
     "majorana.json": ["majorana", "--json"],
+    "verify-peres.txt": ["verify", "--set", "peres"],
+    "prove.txt": ["prove"],
 }
 
 CNF_EXPORTS = {

@@ -22,9 +22,11 @@ from bks33.kscolor import (
     verify_symmetry_reduction,
 )
 from bks33 import orthograph
-from bks33.orthograph import OrthoGraph, build_graph, reference_decomposition, reference_graph
+from bks33.orthograph import (
+    OrthoGraph, build_graph, decompose, reference_decomposition, reference_graph,
+)
 
-FULL = ConstraintSet.from_graph(reference_graph())
+FULL = decompose(reference_graph())
 
 
 def two_disjoint_copies() -> OrthoGraph:
@@ -141,14 +143,14 @@ def test_single_triad_instance():
 
 
 def test_delete_one_instance_is_colorable():
-    reduced = ConstraintSet.from_graph(reference_graph().delete_vertex(1))
+    reduced = decompose(reference_graph().delete_vertex(1))
     coloring = search(reduced).coloring
     assert coloring is not None
     assert validate_coloring(coloring, reduced)
 
 
 def test_known_delete1_coloring_validates():
-    reduced = ConstraintSet.from_graph(reference_graph().delete_vertex(1))
+    reduced = decompose(reference_graph().delete_vertex(1))
     assert validate_coloring(KNOWN_DELETE1_GREENS, reduced)
 
 
@@ -175,7 +177,7 @@ def test_criticality_audit_all_deletions():
     audit = criticality_audit(graph)
     assert sorted(audit) == list(range(1, 34))
     for deleted, greens in audit.items():
-        reduced = ConstraintSet.from_graph(graph.delete_vertex(deleted))
+        reduced = decompose(graph.delete_vertex(deleted))
         assert greens is not None
         assert validate_coloring(greens, reduced)
 
@@ -191,7 +193,7 @@ def test_deletion_demotes_triads_through_the_ray_to_pairs():
     for v in sorted(graph.vertices):
         demoted = [tuple(m for m in t if m != v) for t in FULL.triads if v in t]
         kept_pairs = [p for p in FULL.dyads if v not in p]
-        rederived = ConstraintSet.from_graph(graph.delete_vertex(v))
+        rederived = decompose(graph.delete_vertex(v))
         assert rederived.triads == tuple(t for t in FULL.triads if v not in t)
         assert rederived.dyads == tuple(sorted(kept_pairs + demoted))
         assert rederived.vertices == FULL.vertices - {v}
@@ -215,7 +217,7 @@ def induced_constraints(g: OrthoGraph, keep: set[int]) -> ConstraintSet:
         frozenset(keep),
         frozenset(e for e in g.edges if set(e) <= keep),
     )
-    return ConstraintSet.from_graph(sub)
+    return decompose(sub)
 
 
 def test_search_agrees_with_brute_force_on_subinstances():
@@ -261,11 +263,29 @@ def test_symmetry_reduction_pair_angles_on_real_catalog():
     assert report.pair_rotations[frozenset({11, 13})] == 90
 
 
+def test_symmetry_reduction_fails_on_a_broken_graph():
+    graph = reference_graph()
+    broken = OrthoGraph(graph.vertices, graph.edges - {(1, 3)})
+    for catalog in (peres_rays(), penrose_mpairs()):
+        report = verify_symmetry_reduction(catalog, broken)
+        assert report.passed is False
+        assert report.failures == (
+            "body-diagonal permutation is not an automorphism",
+            "x-axis 90 degree permutation is not an automorphism",
+            "x-axis 270 degree permutation is not an automorphism",
+            "no x-axis rotation maps [10, 12] onto (10, 11)",
+            "no x-axis rotation maps [11, 13] onto (10, 11)",
+        )
+        assert report.pair_rotations == {
+            frozenset({10, 12}): None, frozenset({12, 13}): 180, frozenset({11, 13}): None,
+        }
+
+
 def test_search_tree_is_pinned():
     graph = reference_graph()
     assert search(FULL).nodes == 34
     assert [
-        search(ConstraintSet.from_graph(graph.delete_vertex(v))).nodes
+        search(decompose(graph.delete_vertex(v))).nodes
         for v in range(1, 34)
     ] == [8, 6, 6, 5, 5, 4, 4, 8, 8, 5, 5, 5, 5, 10, 5, 5, 10, 8, 8, 8, 8,
           7, 5, 5, 7, 18, 5, 5, 18, 18, 7, 7, 18]
@@ -273,7 +293,7 @@ def test_search_tree_is_pinned():
     digest = hashlib.sha256()
     for u, v in combinations(range(1, 34), 2):
         result = search(
-            ConstraintSet.from_graph(graph.delete_vertex(u).delete_vertex(v))
+            decompose(graph.delete_vertex(u).delete_vertex(v))
         )
         total += result.nodes
         greens = sorted(result.coloring)
@@ -286,8 +306,8 @@ def test_search_tree_is_pinned():
 
 def test_search_leaves_no_reference_cycle():
     instances = [
-        ConstraintSet.from_graph(reference_graph()),
-        ConstraintSet.from_graph(reference_graph().delete_vertex(1)),
+        decompose(reference_graph()),
+        decompose(reference_graph().delete_vertex(1)),
     ]
     gc.collect()
     gc.disable()
@@ -331,7 +351,7 @@ def closure_oracle(greens, cs: ConstraintSet):
 def test_propagate_agrees_with_closure_oracle():
     graph = reference_graph()
     instances = [FULL] + [
-        ConstraintSet.from_graph(graph.delete_vertex(v)) for v in range(1, 34)
+        decompose(graph.delete_vertex(v)) for v in range(1, 34)
     ]
     for cs in instances:
         vertices = sorted(cs.vertices)

@@ -18,7 +18,7 @@ from bks33.majorana import (
     state_overlap2,
 )
 from bks33.orthograph import reference_decomposition
-from bks33.rays import Ray
+from bks33.rays import Ray, overlap2
 from bks33.scalar import QRoot2
 
 PLUS_Z = MVector(0, 0, 1)
@@ -53,10 +53,21 @@ def test_state_anchors():
     assert_state_close(state_from_mpair(MPair(MINUS_Z, MINUS_Z)), (0, 0, 1))
 
 
+def units_match(p: MPair, q: MPair, tol: float = 1e-12) -> bool:
+    """Unordered match of the unit vectors of two pairs, componentwise within tol."""
+
+    def close(u: MVector, v: MVector) -> bool:
+        return all(abs(a - b) <= tol for a, b in zip(u.unit(), v.unit()))
+
+    return (close(p.first, q.first) and close(p.second, q.second)) or (
+        close(p.first, q.second) and close(p.second, q.first)
+    )
+
+
 def test_root_extraction_anchors():
-    assert mpairs_match(mpair_from_state(Ray((1, 0, 0))), MPair(PLUS_Z, PLUS_Z), tol=1e-12)
-    assert mpairs_match(mpair_from_state(Ray((0, 0, 1))), MPair(MINUS_Z, MINUS_Z), tol=1e-12)
-    assert mpairs_match(mpair_from_state(Ray((0, 1, 0))), MPair(PLUS_Z, MINUS_Z), tol=1e-12)
+    assert units_match(mpair_from_state(Ray((1, 0, 0))), MPair(PLUS_Z, PLUS_Z))
+    assert units_match(mpair_from_state(Ray((0, 0, 1))), MPair(MINUS_Z, MINUS_Z))
+    assert units_match(mpair_from_state(Ray((0, 1, 0))), MPair(PLUS_Z, MINUS_Z))
 
 
 def test_exact_state_extracts_like_its_complex_copy():
@@ -73,7 +84,7 @@ def test_doubled_pair_state_matches_catalog_orthogonalities():
     state_10 = state_from_mpair(pairs[9])
     for other in (4, 13, 24, 25):
         state_other = state_from_mpair(pairs[other - 1])
-        assert state_overlap2(state_10, state_other) == pytest.approx(0, abs=1e-20)
+        assert overlap2(state_10, state_other) == pytest.approx(0, abs=1e-20)
 
 
 def test_closed_form_same_pair_is_one():
@@ -114,7 +125,7 @@ def test_closed_form_cross_validates_against_states():
         pa = MPair(random_mvector(rng), random_mvector(rng))
         pb = MPair(random_mvector(rng), random_mvector(rng))
         closed = overlap2_closed_form(pa, pb)
-        explicit = state_overlap2(state_from_mpair(pa), state_from_mpair(pb))
+        explicit = overlap2(state_from_mpair(pa), state_from_mpair(pb))
         max_dev = max(max_dev, abs(closed - explicit))
     assert max_dev < 1e-10
 
@@ -128,8 +139,10 @@ def test_roundtrip_random_states():
             continue
         state = Ray(tuple(comps))
         back = state_from_mpair(mpair_from_state(state))
-        worst = max(worst, 1.0 - state_overlap2(state, back))
+        worst = max(worst, 1.0 - overlap2(state, back))
     assert worst < 1e-8
+    # the second name, kept for perfbench/, is the same function
+    assert state_overlap2(state, back) == overlap2(state, back)
 
 
 def test_pair_order_invariance():
