@@ -14,7 +14,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from random import Random
 from typing import Sequence
@@ -213,25 +213,11 @@ def cmd_verify(args) -> int:
 
 
 def _trace_payload(trace: kscolor.ProofTrace) -> dict:
-    steps = []
-    for step in trace.steps:
-        if isinstance(step, kscolor.Choice):
-            steps.append({"kind": "choice", "greens": list(step.greens), "why": step.why})
-        else:
-            steps.append(
-                {
-                    "kind": "forced",
-                    "ray": step.ray,
-                    "color": step.color.value,
-                    "constraint": list(step.constraint),
-                }
-            )
+    steps = [{"kind": "choice" if isinstance(s, kscolor.Choice) else "forced", **asdict(s)}
+             for s in trace.steps]
     payload = {"steps": steps, "green_rays": sorted(trace.green_rays)}
     if trace.contradiction is not None:
-        payload["contradiction"] = {
-            "kind": trace.contradiction.kind,
-            "constraint": list(trace.contradiction.constraint),
-        }
+        payload["contradiction"] = asdict(trace.contradiction)
     if trace.divergence is not None:
         payload["divergence"] = trace.divergence
     return payload

@@ -37,7 +37,7 @@ from .orthograph import (
 )
 
 
-class Color(Enum):
+class Color(str, Enum):  # a str, so json writes "green" and "red"
     GREEN = "green"
     RED = "red"
 

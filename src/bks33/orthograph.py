@@ -27,7 +27,8 @@ def _edge(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class OrthoGraph:
-    """Undirected graph on catalog indices with orthogonal pairs as edges."""
+    """Undirected graph on catalog indices with orthogonal pairs as edges,
+    each edge a pair (u, v) with u < v."""
 
     vertices: frozenset[int]
     edges: frozenset[Edge]
@@ -48,27 +49,6 @@ class OrthoGraph:
             self.vertices - {v},
             frozenset(e for e in self.edges if v not in e),
         )
-
-    def triangles(self) -> list[tuple[int, int, int]]:
-        """All triangles as sorted index triples, lexicographically ordered.
-
-        Each vertex's neighbors form an int bitmask, bit w for vertex w.
-        Each triangle u < v < w is found once, from its edge (u, v), as a
-        bit above v in the common neighbors of u and v; with the edges in
-        order and those bits taken lowest first, the list comes out sorted.
-        """
-        adj = dict.fromkeys(self.vertices, 0)
-        for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        found = []
-        for u, v in sorted(self.edges):
-            common = adj[u] & adj[v] & -(2 << v)
-            while common:
-                low = common & -common
-                found.append((u, v, low.bit_length() - 1))
-                common ^= low
-        return found
 
 
 @dataclass(frozen=True)
@@ -125,20 +105,29 @@ def build_graph(catalog: Catalog) -> OrthoGraph:
 def decompose(g: OrthoGraph) -> ConstraintSet:
     """Triads are the triangles; dyads the edges in no triangle.
 
-    Rejects graphs where an edge lies in two triangles, since then the
-    exactly-once edge cover would not exist.
+    One pass over the sorted edges classes each edge (u, v) by its common
+    neighbors, an int bitmask with bit w for vertex w: none makes it a
+    dyad; one, w, puts it in triad (u, v, w), taken here when w > v; two
+    or more raise, since then the exactly-once edge cover would not exist.
+    Triads and dyads thus come out sorted.
     """
-    triads = g.triangles()
-    seen: set[Edge] = set()
-    for a, b, c in triads:
-        for e in ((a, b), (a, c), (b, c)):
-            if e in seen:
-                raise AmbiguousDecompositionError(
-                    f"edge {e} lies in two distinct triangles"
-                )
-            seen.add(e)
-    dyads = tuple(e for e in sorted(g.edges) if e not in seen)
-    return ConstraintSet(tuple(triads), dyads, g.vertices)
+    adj = dict.fromkeys(g.vertices, 0)
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    triads = []
+    dyads = []
+    for u, v in sorted(g.edges):
+        common = adj[u] & adj[v]
+        if not common:
+            dyads.append((u, v))
+        elif common & (common - 1):
+            raise AmbiguousDecompositionError(
+                f"edge {(u, v)} lies in two distinct triangles"
+            )
+        elif common > 1 << v:
+            triads.append((u, v, common.bit_length() - 1))
+    return ConstraintSet(tuple(triads), tuple(dyads), g.vertices)
 
 
 # Published orthogonality table shared by the real and complex catalogs:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import combinations
 from random import Random
 
@@ -90,8 +91,7 @@ def test_decompose_rejects_edge_in_two_triangles():
         frozenset({1, 2, 3, 4}),
         frozenset({(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}),
     )
-    assert k4.triangles() == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
-    with pytest.raises(AmbiguousDecompositionError):
+    with pytest.raises(AmbiguousDecompositionError, match=r"edge \(1, 2\)"):
         decompose(k4)
 
 
@@ -103,10 +103,21 @@ def brute_force_triangles(g: OrthoGraph) -> list[tuple[int, int, int]]:
     ]
 
 
-def assert_triangles_match_oracle(g: OrthoGraph) -> None:
-    found = g.triangles()
-    assert found == sorted(found)
-    assert found == brute_force_triangles(g)
+def assert_decomposition_matches_oracle(g: OrthoGraph) -> None:
+    """Triads are the brute-force triangles and dyads the edges in none,
+    unless some edge lies in two triangles: then decompose names one."""
+    triangles = brute_force_triangles(g)
+    in_triangles = Counter(e for a, b, c in triangles for e in ((a, b), (a, c), (b, c)))
+    shared = [e for e, n in in_triangles.items() if n > 1]
+    if shared:
+        with pytest.raises(AmbiguousDecompositionError) as exc:
+            decompose(g)
+        assert any(f"edge {e} " in str(exc.value) for e in shared)
+        return
+    d = decompose(g)
+    assert d.triads == tuple(triangles)
+    assert d.dyads == tuple(e for e in sorted(g.edges) if e not in in_triangles)
+    assert d.vertices == g.vertices
 
 
 def relabeled(g: OrthoGraph, rng: Random) -> OrthoGraph:
@@ -120,21 +131,21 @@ def relabeled(g: OrthoGraph, rng: Random) -> OrthoGraph:
     )
 
 
-def test_triangles_match_brute_force_on_the_diagram_and_its_deletions():
+def test_decomposition_matches_brute_force_on_the_diagram_and_its_deletions():
     g = reference_graph()
-    assert_triangles_match_oracle(g)
-    assert len(g.triangles()) == 16
+    assert_decomposition_matches_oracle(g)
+    assert len(decompose(g).triads) == 16
     for u in range(1, 34):
         reduced = g.delete_vertex(u)
-        assert_triangles_match_oracle(reduced)
+        assert_decomposition_matches_oracle(reduced)
         for v in range(u + 1, 34):
-            assert_triangles_match_oracle(reduced.delete_vertex(v))
+            assert_decomposition_matches_oracle(reduced.delete_vertex(v))
 
 
-def test_triangles_match_brute_force_on_relabeled_diagrams():
+def test_decomposition_matches_brute_force_on_relabeled_diagrams():
     rng = Random(64)
     for _ in range(64):
-        assert_triangles_match_oracle(relabeled(reference_graph(), rng))
+        assert_decomposition_matches_oracle(relabeled(reference_graph(), rng))
 
 
 @st.composite
@@ -146,8 +157,8 @@ def small_graphs(draw) -> OrthoGraph:
 
 
 @given(small_graphs())
-def test_triangles_match_brute_force_on_small_graphs(g):
-    assert_triangles_match_oracle(g)
+def test_decomposition_matches_brute_force_on_small_graphs(g):
+    assert_decomposition_matches_oracle(g)
     assert all(g.neighbors(v) == {w for e in g.edges if v in e for w in e} - {v}
                for v in g.vertices)
 
