@@ -6,9 +6,9 @@ every dyad at most one.  Propagation applies two rules to a fixpoint:
   (i)  a green ray turns every triad-mate and dyad-partner red;
   (ii) a triad with two reds turns its remaining member green.
 
-Rule (i) runs eagerly after every assignment; rule (ii) fires one triad at a
-time in constraint order.  That makes traces deterministic and reproduces
-the documented forcing chain step for step.
+Rule (i) runs from every new green; then a scan of the triads in constraint
+order finds the first all-red triad or fires rule (ii) once.  That makes
+traces deterministic and reproduces the documented forcing chain step for step.
 
 Inside the engine a partial coloring is two Python-int bitmasks, ``green``
 and ``red``, bit v standing for ray v.  ``propagate`` and ``search`` each
@@ -48,11 +48,10 @@ Constraint = tuple[int, ...]
 
 class _Compiled(NamedTuple):
     """The fixpoint's table: per vertex, its constraints (triads before
-    dyads, in constraint order) with their other members, and its triads
-    as (mask, triad); every triad as (mask, triad), in constraint order."""
+    dyads, in constraint order) with their other members; every triad as
+    (mask, triad), in constraint order."""
 
     constraints_through: dict[int, list[tuple[Constraint, Constraint]]]
-    triads_through: dict[int, list[tuple[int, Constraint]]]
     triads: tuple[tuple[int, Constraint], ...]
 
 
@@ -62,23 +61,18 @@ def _compile(cs: ConstraintSet) -> _Compiled:
     # comes from a slice, a copy or a generator, which CPython resizes
     # and, once freed, keeps in its per-size tuple free lists.
     constraints: dict[int, list] = {v: [] for v in cs.vertices}
-    through: dict[int, list] = {v: [] for v in cs.vertices}
     triads = []
     for t in cs.triads:
         a, b, c = t
-        entry = ((1 << a) + (1 << b) + (1 << c), t)
-        triads.append(entry)
+        triads.append(((1 << a) + (1 << b) + (1 << c), t))
         constraints[a].append((t, (b, c)))
         constraints[b].append((t, (a, c)))
         constraints[c].append((t, (a, b)))
-        through[a].append(entry)
-        through[b].append(entry)
-        through[c].append(entry)
     for p in cs.dyads:
         a, b = p
         constraints[a].append((p, (b,)))
         constraints[b].append((p, (a,)))
-    return _Compiled(constraints, through, tuple(triads))
+    return _Compiled(constraints, tuple(triads))
 
 
 @dataclass(frozen=True)
@@ -122,29 +116,25 @@ def _fixpoint(
 ) -> tuple[int, int, tuple[str, Constraint] | None]:
     """Apply both rules to the masks; return them and any (kind, constraint).
 
-    Rays in ``queue`` drain first in, first out: a green ray forces its
-    mates red, member by member in constraint order; a red ray checks its
-    triads for all red.  Then rule (ii) fires the first triad in constraint
-    order with no green and one free member, and draining starts again.
-    Forced steps are appended to ``steps``.
+    The greens in ``queue`` force their mates red, in constraint order.
+    Then the first all-red triad in constraint order is the witness, or else
+    rule (ii) fires the first triad with no green and one free member, and
+    its green drains next.  Forced steps are appended to ``steps``.
     """
-    constraints_through, triads_through, triads = table
+    constraints_through, triads = table
     while True:
-        for ray in queue:  # appending while iterating: a FIFO queue
-            if green >> ray & 1:
-                for c, mates in constraints_through[ray]:
-                    for m in mates:
-                        bit = 1 << m
-                        if green & bit:
-                            return green, red, ("two_greens", c)
-                        if not red & bit:
-                            red |= bit
-                            steps.append((m, Color.RED, c))
-                            queue.append(m)
-            else:
-                for mask, t in triads_through[ray]:
-                    if red & mask == mask:
-                        return green, red, ("all_red", t)
+        for ray in queue:
+            for c, mates in constraints_through[ray]:
+                for m in mates:
+                    bit = 1 << m
+                    if green & bit:
+                        return green, red, ("two_greens", c)
+                    if not red & bit:
+                        red |= bit
+                        steps.append((m, Color.RED, c))
+        for mask, t in triads:
+            if red & mask == mask:
+                return green, red, ("all_red", t)
         for mask, t in triads:
             if mask & green:
                 continue
@@ -165,14 +155,12 @@ def propagate(coloring: Mapping[int, Color], cs: ConstraintSet) -> Propagation:
     A conflict is reported as a witness, not as an exception: an all-red
     triad, or a triad/dyad holding two greens.
     """
-    queue = sorted(r for r in coloring if r in cs.vertices)
-    green = sum(1 << r for r in queue if coloring[r] is Color.GREEN)
-    red = sum(1 << r for r in queue if coloring[r] is not Color.GREEN)
+    queue = sorted(r for r in coloring if r in cs.vertices and coloring[r] is Color.GREEN)
+    green = sum(1 << r for r in queue)
+    red = sum(1 << r for r in coloring if r in cs.vertices) & ~green
     steps: list[_Step] = []
     _, _, witness = _fixpoint(_compile(cs), green, red, queue, steps)
-    col: Coloring = dict(coloring)
-    for ray, color, _ in steps:
-        col[ray] = color
+    col: Coloring = {**coloring, **{ray: color for ray, color, _ in steps}}
     return Propagation(col, tuple([Forced(*step) for step in steps]),
                        None if witness is None else Contradiction(*witness))
 
@@ -192,10 +180,8 @@ def search(cs: ConstraintSet) -> SearchResult:
     """
     trail: list[_Step] = []
     found, nodes = _descend(_compile(cs), 0, 0, [], trail)
-    if not found:
-        return SearchResult(None, nodes)
     greens = frozenset(ray for ray, color, _ in trail if color is Color.GREEN)
-    return SearchResult(greens, nodes)
+    return SearchResult(greens if found else None, nodes)
 
 
 def _descend(

@@ -334,6 +334,10 @@ def test_options_a_subcommand_does_not_read_exit_2(tmp_path, monkeypatch, capsys
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--set", "family", "--samples", "0"], "--samples: must be at least 1"),
     (["majorana", "--samples", "0"], "--samples: must be at least 1"),
+    (["verify", "--set", "family", "--samples", "1.5"],
+     "--samples: must be an integer, got '1.5'"),
+    (["majorana", "--samples", "x"], "--samples: must be an integer, got 'x'"),
+    (["catalog", "--set", "family", "--alpha", "abc"], "--alpha: must be a number, got 'abc'"),
     (["verify", "--set", "family", "--tol", "-1"], "unrecognized arguments: --tol -1"),
     (["majorana", "--tol", "0"], "unrecognized arguments: --tol 0"),
     (["verify", "--set", "family", "--tol", "inf"], "unrecognized arguments: --tol inf"),
@@ -345,7 +349,8 @@ def test_options_a_subcommand_does_not_read_exit_2(tmp_path, monkeypatch, capsys
     (["catalog", "--set", "family", "--gamma", "nan"], "--gamma: must be finite"),
     (["prove", "--mode", "replay"], "--mode: invalid choice: 'replay'"),
     (["prove", "--mode", "search"], "--mode: invalid choice: 'search'"),
-], ids=["verify-samples-0", "majorana-samples-0", "verify-tol-negative", "majorana-tol-0",
+], ids=["verify-samples-0", "majorana-samples-0", "verify-samples-1.5", "majorana-samples-x",
+        "catalog-alpha-abc", "verify-tol-negative", "majorana-tol-0",
         "verify-tol-inf", "majorana-tol-inf", "catalog-alpha-nan", "catalog-alpha-inf",
         "catalog-alpha-minus-inf", "catalog-beta-minus-inf", "catalog-gamma-nan",
         "prove-mode-replay", "prove-mode-search"])
@@ -353,7 +358,9 @@ def test_vacuous_or_invalid_input_exits_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert "_positive_int" not in err and "_finite_float" not in err
 
 
 # --- report plumbing --------------------------------------------------------

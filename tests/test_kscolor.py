@@ -12,6 +12,7 @@ from bks33.kscolor import (
     Choice,
     Color,
     ConstraintSet,
+    Contradiction,
     Forced,
     KNOWN_DELETE1_GREENS,
     criticality_audit,
@@ -67,6 +68,18 @@ def test_propagate_documented_choices_reach_the_all_red_triad():
     assert result.contradiction.kind == "all_red"
     assert tuple(sorted(result.contradiction.constraint)) == (7, 15, 16)
     assert greens_of(result.coloring) == {1, 10, 11, 31, 27, 28, 6}
+
+
+def test_propagate_drains_greens_before_the_triad_scan():
+    # (3, 24, 27) starts all red and (9, 19, 20) holds both start greens.
+    # The greens drain before any triad is scanned, so the second witness
+    # is found, after 9 forces its mates 8 and 19 red.
+    start = {**dict.fromkeys((3, 24, 27), Color.RED), **dict.fromkeys((9, 20), Color.GREEN)}
+    result = propagate(start, FULL)
+    assert result.contradiction == Contradiction("two_greens", (9, 19, 20))
+    assert result.steps == (
+        Forced(8, Color.RED, (3, 8, 9)), Forced(19, Color.RED, (9, 19, 20)),
+    )
 
 
 def test_propagate_two_greens_witness():
@@ -319,13 +332,14 @@ def test_search_leaves_no_reference_cycle():
         gc.enable()
 
 
-def closure_oracle(greens, cs: ConstraintSet):
-    """Rules (i) and (ii) to a fixpoint on sets, in no particular order.
+def closure_oracle(greens, reds, cs: ConstraintSet):
+    """Rules (i) and (ii) to a fixpoint on sets from the given greens and
+    reds, in no particular order.
 
     Returns the green and red sets, or None when some constraint holds two
     greens or some triad is all red.
     """
-    green, red = set(greens), set()
+    green, red = set(greens), set(reds)
     constraints = [set(c) for c in cs.triads + cs.dyads]
     triads = [set(t) for t in cs.triads]
     changed = True
@@ -353,12 +367,19 @@ def test_propagate_agrees_with_closure_oracle():
     instances = [FULL] + [
         decompose(graph.delete_vertex(v)) for v in range(1, 34)
     ]
-    for cs in instances:
+    for seed, cs in enumerate(instances):
         vertices = sorted(cs.vertices)
-        starts = [(v,) for v in vertices] + list(combinations(vertices, 2))
-        for start in starts:
-            result = propagate({v: Color.GREEN for v in start}, cs)
-            expected = closure_oracle(start, cs)
+        starts = [((v,), ()) for v in vertices]
+        starts += [(pair, ()) for pair in combinations(vertices, 2)]
+        rng = Random(seed)
+        for _ in range(300):  # starts that assign reds too
+            rays = rng.sample(vertices, rng.randint(1, 6))
+            cut = rng.randint(0, min(2, len(rays) - 1))
+            starts.append((rays[:cut], rays[cut:]))
+        for greens, reds in starts:
+            start = {**dict.fromkeys(greens, Color.GREEN), **dict.fromkeys(reds, Color.RED)}
+            result = propagate(start, cs)
+            expected = closure_oracle(greens, reds, cs)
             if expected is None:
                 assert result.contradiction is not None, start
             else:
