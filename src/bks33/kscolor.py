@@ -13,16 +13,17 @@ traces deterministic and reproduces the documented forcing chain step for step.
 Inside the engine a partial coloring is two Python-int bitmasks, ``green``
 and ``red``, bit v standing for ray v.  ``propagate`` and ``search`` each
 compile the constraint set's triads and dyads to masks and run the same
-fixpoint on them, with the rules in the order above.  A partial
-coloring is a dict only where it enters or leaves ``propagate``; a complete
-coloring is its set of green rays, every other ray being red.
+fixpoint on them, with the rules in the order above.  Outside the engine
+a partial coloring is its set of green rays and its set of red rays, as
+``propagate`` takes and returns them; a complete coloring is its set of
+green rays, every other ray being red.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 from .orthograph import (
     Catalog,
@@ -42,7 +43,6 @@ class Color(str, Enum):  # a str, so json writes "green" and "red"
     RED = "red"
 
 
-Coloring = dict[int, Color]
 Constraint = tuple[int, ...]
 
 
@@ -101,9 +101,11 @@ Step = Union[Choice, Forced]
 
 @dataclass(frozen=True)
 class Propagation:
-    """Fixpoint coloring, the forced steps that produced it, and any witness."""
+    """Fixpoint green and red rays, the forced steps that produced them, and
+    any witness."""
 
-    coloring: Coloring
+    greens: frozenset[int]
+    reds: frozenset[int]
     steps: tuple[Forced, ...]
     contradiction: Contradiction | None
 
@@ -149,19 +151,25 @@ def _fixpoint(
             return green, red, None
 
 
-def propagate(coloring: Mapping[int, Color], cs: ConstraintSet) -> Propagation:
-    """Run both rules to a fixpoint from the given assignments.
+def propagate(greens: Iterable[int], reds: Iterable[int], cs: ConstraintSet) -> Propagation:
+    """Run both rules to a fixpoint from the given green and red rays.
 
     A conflict is reported as a witness, not as an exception: an all-red
-    triad, or a triad/dyad holding two greens.
+    triad, or a triad/dyad holding two greens.  A start ray outside
+    ``cs.vertices``, or given both colors, raises ``ValueError``.
     """
-    queue = sorted(r for r in coloring if r in cs.vertices and coloring[r] is Color.GREEN)
-    green = sum(1 << r for r in queue)
-    red = sum(1 << r for r in coloring if r in cs.vertices) & ~green
+    start_greens, start_reds = frozenset(greens), frozenset(reds)
+    if outside := (start_greens | start_reds) - cs.vertices:
+        raise ValueError(f"rays not in the diagram: {sorted(outside)}")
+    if both := start_greens & start_reds:
+        raise ValueError(f"rays given both colors: {sorted(both)}")
+    queue = sorted(start_greens)
     steps: list[_Step] = []
-    _, _, witness = _fixpoint(_compile(cs), green, red, queue, steps)
-    col: Coloring = {**coloring, **{ray: color for ray, color, _ in steps}}
-    return Propagation(col, tuple([Forced(*step) for step in steps]),
+    green, red, witness = _fixpoint(_compile(cs), sum(1 << r for r in queue),
+                                    sum(1 << r for r in start_reds), queue, steps)
+    return Propagation(frozenset(v for v in cs.vertices if green >> v & 1),
+                       frozenset(v for v in cs.vertices if red >> v & 1),
+                       tuple([Forced(*step) for step in steps]),
                        None if witness is None else Contradiction(*witness))
 
 
@@ -231,23 +239,14 @@ def validate_coloring(greens: frozenset[int], cs: ConstraintSet) -> bool:
 
 @dataclass(frozen=True)
 class ProofTrace:
-    """Ordered record of choices, forced colorings, and the final witness;
-    ``divergence`` names the first documented fact the replay did not
-    reproduce, or is None."""
+    """Ordered record of choices and forced colorings, the green rays they
+    reached, and the final witness; ``divergence`` names the first
+    documented fact the replay did not reproduce, or is None."""
 
     steps: tuple[Step, ...]
+    green_rays: frozenset[int]
     contradiction: Contradiction | None
     divergence: str | None
-
-    @property
-    def green_rays(self) -> frozenset[int]:
-        greens: set[int] = set()
-        for step in self.steps:
-            if isinstance(step, Choice):
-                greens.update(step.greens)
-            elif step.color is Color.GREEN:
-                greens.add(step.ray)
-        return frozenset(greens)
 
 
 # The documented seven-green proof: first choice and its forced reds,
@@ -274,22 +273,23 @@ def replay_proof(cs: ConstraintSet) -> ProofTrace:
     steps: list[Step] = []
 
     steps.append(Choice((_PROOF_FIRST_GREEN,), "symmetry: rotation about the body diagonal"))
-    first = propagate({_PROOF_FIRST_GREEN: Color.GREEN}, cs)
+    first = propagate((_PROOF_FIRST_GREEN,), (), cs)
     steps.extend(first.steps)
     if first.contradiction is not None:
-        return ProofTrace(tuple(steps), first.contradiction, "first choice already contradictory")
-    forced = {step.ray: step.color for step in first.steps}
-    if forced != dict.fromkeys(_PROOF_FIRST_REDS, Color.RED):
-        return ProofTrace(tuple(steps), None, (
-            f"first choice forced {sorted(forced)}, expected reds {sorted(_PROOF_FIRST_REDS)}"
+        return ProofTrace(tuple(steps), first.greens, first.contradiction,
+                          "first choice already contradictory")
+    if first.greens != {_PROOF_FIRST_GREEN} or first.reds != _PROOF_FIRST_REDS:
+        return ProofTrace(tuple(steps), first.greens, None, (
+            f"first choice forced greens {sorted(first.greens - {_PROOF_FIRST_GREEN})} and reds "
+            f"{sorted(first.reds)}, expected reds {sorted(_PROOF_FIRST_REDS)}"
         ))
 
     steps.append(Choice(_PROOF_SECOND_GREENS, "symmetry: quarter/half turns about the x-axis"))
-    final = propagate({**first.coloring, **dict.fromkeys(_PROOF_SECOND_GREENS, Color.GREEN)}, cs)
+    final = propagate(first.greens | set(_PROOF_SECOND_GREENS), first.reds, cs)
     steps.extend(final.steps)
 
     witness = final.contradiction
-    forced_greens = {step.ray for step in final.steps if step.color is Color.GREEN}
+    forced_greens = final.greens - first.greens - set(_PROOF_SECOND_GREENS)
     divergence = None
     if witness is None:
         divergence = "documented choices did not reach a contradiction"
@@ -299,7 +299,7 @@ def replay_proof(cs: ConstraintSet) -> ProofTrace:
         divergence = (
             f"forced greens {sorted(forced_greens)}, expected {sorted(_PROOF_FORCED_GREENS)}"
         )
-    return ProofTrace(tuple(steps), witness, divergence)
+    return ProofTrace(tuple(steps), final.greens, witness, divergence)
 
 
 #: Alternative second-choice pairs, each mapped onto _PROOF_SECOND_GREENS.

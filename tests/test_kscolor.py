@@ -38,44 +38,44 @@ def two_disjoint_copies() -> OrthoGraph:
     return OrthoGraph(frozenset(range(1, 67)), g.edges | shifted)
 
 
-def greens_of(coloring):
-    return {r for r, c in coloring.items() if c is Color.GREEN}
-
-
-def reds_of(coloring):
-    return {r for r, c in coloring.items() if c is Color.RED}
-
-
 def test_propagate_first_choice():
-    result = propagate({1: Color.GREEN}, FULL)
+    result = propagate({1}, (), FULL)
     assert result.contradiction is None
-    assert greens_of(result.coloring) == {1}
-    assert reds_of(result.coloring) == {2, 3, 4, 5, 26, 33, 29, 30}
+    assert result.greens == {1}
+    assert result.reds == {2, 3, 4, 5, 26, 33, 29, 30}
 
 
 def test_propagate_empty_coloring_is_a_fixpoint():
-    result = propagate({}, FULL)
+    result = propagate((), (), FULL)
     assert result.contradiction is None
-    assert result.coloring == {}
+    assert result.greens == result.reds == frozenset()
     assert result.steps == ()
 
 
+@pytest.mark.parametrize("greens, reds, cs, message", [
+    ({34}, (), FULL, r"not in the diagram: \[34\]"),
+    ((), {34}, FULL, r"not in the diagram: \[34\]"),
+    ({1, 10}, {10}, FULL, r"both colors: \[10\]"),
+    ({1}, (), decompose(reference_graph().delete_vertex(1)), r"not in the diagram: \[1\]"),
+])
+def test_propagate_rejects_rays_outside_the_diagram_or_of_both_colors(greens, reds, cs, message):
+    with pytest.raises(ValueError, match=message):
+        propagate(greens, reds, cs)
+
+
 def test_propagate_documented_choices_reach_the_all_red_triad():
-    result = propagate(
-        {1: Color.GREEN, 10: Color.GREEN, 11: Color.GREEN}, FULL
-    )
+    result = propagate({1, 10, 11}, (), FULL)
     assert result.contradiction is not None
     assert result.contradiction.kind == "all_red"
     assert tuple(sorted(result.contradiction.constraint)) == (7, 15, 16)
-    assert greens_of(result.coloring) == {1, 10, 11, 31, 27, 28, 6}
+    assert result.greens == {1, 10, 11, 31, 27, 28, 6}
 
 
 def test_propagate_drains_greens_before_the_triad_scan():
     # (3, 24, 27) starts all red and (9, 19, 20) holds both start greens.
     # The greens drain before any triad is scanned, so the second witness
     # is found, after 9 forces its mates 8 and 19 red.
-    start = {**dict.fromkeys((3, 24, 27), Color.RED), **dict.fromkeys((9, 20), Color.GREEN)}
-    result = propagate(start, FULL)
+    result = propagate({9, 20}, {3, 24, 27}, FULL)
     assert result.contradiction == Contradiction("two_greens", (9, 19, 20))
     assert result.steps == (
         Forced(8, Color.RED, (3, 8, 9)), Forced(19, Color.RED, (9, 19, 20)),
@@ -84,16 +84,14 @@ def test_propagate_drains_greens_before_the_triad_scan():
 
 def test_propagate_two_greens_witness():
     # 10 and 24 share a dyad
-    result = propagate({10: Color.GREEN, 24: Color.GREEN}, FULL)
+    result = propagate({10, 24}, (), FULL)
     assert result.contradiction is not None
     assert result.contradiction.kind == "two_greens"
     assert set(result.contradiction.constraint) == {10, 24}
 
 
 def test_forced_steps_are_entailed_by_their_cited_constraint():
-    result = propagate(
-        {1: Color.GREEN, 10: Color.GREEN, 11: Color.GREEN}, FULL
-    )
+    result = propagate({1, 10, 11}, (), FULL)
     known: dict[int, Color] = {1: Color.GREEN, 10: Color.GREEN, 11: Color.GREEN}
     for step in result.steps:
         members = set(step.constraint)
@@ -124,6 +122,44 @@ def test_replay_trace_contents():
         if isinstance(s, Forced) and s.color is Color.GREEN
     ]
     assert set(forced_greens) == {31, 27, 28, 6}
+
+
+# The diagram with one constraint added, the divergence the replay names
+# and the greens it reaches.
+REPLAY_DIVERGENCES = [
+    (ConstraintSet(FULL.triads + ((2, 4, 26),), FULL.dyads, FULL.vertices),
+     "first choice already contradictory", {1}),
+    (ConstraintSet(FULL.triads, FULL.dyads + ((1, 10),), FULL.vertices),
+     "first choice forced greens [13, 28, 32] and reds [2, 3, 4, 5, 10, 14, 16, "
+     "18, 20, 22, 23, 26, 29, 30, 33], expected reds [2, 3, 4, 5, 26, 29, 30, 33]",
+     {1, 13, 28, 32}),
+    (ConstraintSet(FULL.triads, FULL.dyads + ((10, 11),), FULL.vertices),
+     "unexpected contradiction witness "
+     "Contradiction(kind='two_greens', constraint=(10, 11))",
+     {1, 10, 11}),
+    (ConstraintSet(((12, 13, 34),) + FULL.triads, FULL.dyads, FULL.vertices | {34}),
+     "forced greens [6, 27, 28, 31, 34], expected [6, 27, 28, 31]",
+     {1, 6, 10, 11, 27, 28, 31, 34}),
+]
+
+
+@pytest.mark.parametrize("cs, divergence, greens", REPLAY_DIVERGENCES)
+def test_replay_names_each_divergence(cs, divergence, greens):
+    trace = replay_proof(cs)
+    assert trace.divergence == divergence
+    assert trace.green_rays == greens
+
+
+@pytest.mark.parametrize("cs", [FULL] + [cs for cs, _, _ in REPLAY_DIVERGENCES])
+def test_replay_green_rays_are_the_chosen_and_forced_greens(cs):
+    trace = replay_proof(cs)
+    derived = set()
+    for step in trace.steps:
+        if isinstance(step, Choice):
+            derived.update(step.greens)
+        elif step.color is Color.GREEN:
+            derived.add(step.ray)
+    assert trace.green_rays == derived
 
 
 def test_search_full_instance_is_unsat():
@@ -377,11 +413,10 @@ def test_propagate_agrees_with_closure_oracle():
             cut = rng.randint(0, min(2, len(rays) - 1))
             starts.append((rays[:cut], rays[cut:]))
         for greens, reds in starts:
-            start = {**dict.fromkeys(greens, Color.GREEN), **dict.fromkeys(reds, Color.RED)}
-            result = propagate(start, cs)
+            result = propagate(greens, reds, cs)
             expected = closure_oracle(greens, reds, cs)
             if expected is None:
-                assert result.contradiction is not None, start
+                assert result.contradiction is not None, (greens, reds)
             else:
-                assert result.contradiction is None, start
-                assert (greens_of(result.coloring), reds_of(result.coloring)) == expected
+                assert result.contradiction is None, (greens, reds)
+                assert (result.greens, result.reds) == expected
