@@ -158,11 +158,8 @@ def _symmetry_check(
     report.add(
         "symmetry_reduction",
         symmetry.passed,
-        pair_rotations=sorted(
-            ({"pair": sorted(pair), "angle": angle}
-             for pair, angle in symmetry.pair_rotations.items()),
-            key=lambda row: row["pair"],
-        ),
+        pair_rotations=[{"pair": sorted(pair), "angle": angle}
+                        for pair, angle in symmetry.pair_rotations.items()],
         failures=list(symmetry.failures),
     )
 

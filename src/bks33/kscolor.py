@@ -304,13 +304,14 @@ def replay_proof(cs: ConstraintSet) -> ProofTrace:
 
 #: Alternative second-choice pairs, each mapped onto _PROOF_SECOND_GREENS.
 ALTERNATIVE_SECOND_PAIRS: tuple[frozenset[int], ...] = (
-    frozenset({10, 12}), frozenset({13, 12}), frozenset({11, 13}),
+    frozenset({10, 12}), frozenset({11, 13}), frozenset({12, 13}),
 )
 
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Outcome of checking that the two proof choices lose no generality."""
+    """Outcome of checking that the two proof choices lose no generality;
+    ``pair_rotations`` gives each alternative pair's x-axis angle, or None."""
 
     pair_rotations: dict[frozenset[int], int | None]
     failures: tuple[str, ...]
@@ -326,8 +327,8 @@ def verify_symmetry_reduction(catalog: Catalog, g: OrthoGraph) -> SymmetryReport
 
     Confirms that the body-diagonal rotation is a graph automorphism cycling
     rays 1 -> 2 -> 3 -> 1, and that each alternative second-choice pair maps
-    onto (10, 11) under some x-axis rotation that fixes ray 1 and permutes
-    the eight rays forced red by the first choice among themselves.
+    onto (10, 11) under the first x-axis rotation, by angle, whose permutation
+    is an automorphism fixing ray 1 (so it permutes ray 1's forced reds).
     """
     failures: list[str] = []
 
@@ -338,27 +339,21 @@ def verify_symmetry_reduction(catalog: Catalog, g: OrthoGraph) -> SymmetryReport
         failures.append("body-diagonal rotation does not cycle rays 1, 2, 3")
 
     first, second = _PROOF_FIRST_GREEN, frozenset(_PROOF_SECOND_GREENS)
-    red_set = g.neighbors(first)
-    x_perms: dict[int, IndexPermutation] = {}
+    automorphisms: dict[int, IndexPermutation] = {}
     for angle, rotation in X_AXIS_ROTATIONS.items():
-        x_perms[angle] = perm = induced_permutation(rotation, catalog)
-        if not is_automorphism(perm, g):
+        perm = induced_permutation(rotation, catalog)
+        if is_automorphism(perm, g):
+            automorphisms[angle] = perm
+        else:
             failures.append(f"x-axis {angle} degree permutation is not an automorphism")
 
-    pair_rotations: dict[frozenset[int], int | None] = {}
+    pair_rotations: dict[frozenset[int], int | None] = dict.fromkeys(ALTERNATIVE_SECOND_PAIRS)
     for pair in ALTERNATIVE_SECOND_PAIRS:
-        found: int | None = None
-        for angle in sorted(x_perms):
-            perm = x_perms[angle]
-            if (
-                perm[first] == first
-                and frozenset(perm[m] for m in pair) == second
-                and frozenset(perm[r] for r in red_set) == red_set
-            ):
-                found = angle
+        for angle, perm in automorphisms.items():
+            if perm[first] == first and frozenset(perm[m] for m in pair) == second:
+                pair_rotations[pair] = angle
                 break
-        pair_rotations[pair] = found
-        if found is None:
+        else:
             failures.append(f"no x-axis rotation maps {sorted(pair)} onto {_PROOF_SECOND_GREENS}")
 
     return SymmetryReport(pair_rotations, tuple(failures))

@@ -37,11 +37,6 @@ class OrthoGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        if v not in self.vertices:
-            raise ValueError(f"vertex {v} not in graph")
-        return frozenset(b if a == v else a for a, b in self.edges if v in (a, b))
-
     def delete_vertex(self, v: int) -> OrthoGraph:
         if v not in self.vertices:
             raise ValueError(f"vertex {v} not in graph")

@@ -24,7 +24,8 @@ from bks33.kscolor import (
 )
 from bks33 import orthograph
 from bks33.orthograph import (
-    OrthoGraph, build_graph, decompose, reference_decomposition, reference_graph,
+    X_AXIS_ROTATIONS, OrthoGraph, build_graph, decompose, induced_permutation, is_automorphism,
+    reference_decomposition, reference_graph,
 )
 
 FULL = decompose(reference_graph())
@@ -312,11 +313,19 @@ def test_symmetry_reduction_pair_angles_on_real_catalog():
     assert report.pair_rotations[frozenset({11, 13})] == 90
 
 
+def test_alternative_pairs_are_listed_in_sorted_pair_order():
+    assert [sorted(p) for p in ALTERNATIVE_SECOND_PAIRS] == sorted(
+        sorted(p) for p in ALTERNATIVE_SECOND_PAIRS
+    )
+
+
 def test_symmetry_reduction_fails_on_a_broken_graph():
     graph = reference_graph()
-    broken = OrthoGraph(graph.vertices, graph.edges - {(1, 3)})
+    one_three = OrthoGraph(graph.vertices, graph.edges - {(1, 3)})
+    # Edge (2, 6) breaks all three x-axis turns, so no pair may name one.
+    two_six = OrthoGraph(graph.vertices, graph.edges - {(2, 6)})
     for catalog in (peres_rays(), penrose_mpairs()):
-        report = verify_symmetry_reduction(catalog, broken)
+        report = verify_symmetry_reduction(catalog, one_three)
         assert report.passed is False
         assert report.failures == (
             "body-diagonal permutation is not an automorphism",
@@ -328,6 +337,32 @@ def test_symmetry_reduction_fails_on_a_broken_graph():
         assert report.pair_rotations == {
             frozenset({10, 12}): None, frozenset({12, 13}): 180, frozenset({11, 13}): None,
         }
+
+        report = verify_symmetry_reduction(catalog, two_six)
+        assert report.passed is False
+        assert report.failures == (
+            "body-diagonal permutation is not an automorphism",
+            "x-axis 90 degree permutation is not an automorphism",
+            "x-axis 180 degree permutation is not an automorphism",
+            "x-axis 270 degree permutation is not an automorphism",
+            "no x-axis rotation maps [10, 12] onto (10, 11)",
+            "no x-axis rotation maps [11, 13] onto (10, 11)",
+            "no x-axis rotation maps [12, 13] onto (10, 11)",
+        )
+        assert report.pair_rotations == dict.fromkeys(ALTERNATIVE_SECOND_PAIRS)
+
+
+@pytest.mark.parametrize("catalog", [peres_rays(), penrose_mpairs()], ids=["peres", "penrose"])
+def test_symmetry_reduction_names_automorphisms_only(catalog):
+    graph = reference_graph()
+    for edge in sorted(graph.edges):
+        broken = OrthoGraph(graph.vertices, graph.edges - {edge})
+        report = verify_symmetry_reduction(catalog, broken)
+        assert report.passed is False, edge
+        for angle in report.pair_rotations.values():
+            if angle is not None:
+                perm = induced_permutation(X_AXIS_ROTATIONS[angle], catalog)
+                assert is_automorphism(perm, broken), (edge, angle)
 
 
 def test_search_tree_is_pinned():
