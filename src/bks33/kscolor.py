@@ -31,7 +31,7 @@ from .orthograph import (
     IndexPermutation,
     OrthoGraph,
     ROTATION_111,
-    X_AXIS_ROTATIONS,
+    X_QUARTER_TURN,
     decompose,
     induced_permutation,
     is_automorphism,
@@ -327,8 +327,10 @@ def verify_symmetry_reduction(catalog: Catalog, g: OrthoGraph) -> SymmetryReport
 
     Confirms that the body-diagonal rotation is a graph automorphism cycling
     rays 1 -> 2 -> 3 -> 1, and that each alternative second-choice pair maps
-    onto (10, 11) under the first x-axis rotation, by angle, whose permutation
+    onto (10, 11) under the first x-axis turn, by angle, whose permutation
     is an automorphism fixing ray 1 (so it permutes ray 1's forced reds).
+    Only the quarter turn R is applied: if R e_i ~ e_pi(i), then
+    R^2 e_i ~ e_pi(pi(i)), so the half and three-quarter turns give pi^2, pi^3.
     """
     failures: list[str] = []
 
@@ -339,9 +341,11 @@ def verify_symmetry_reduction(catalog: Catalog, g: OrthoGraph) -> SymmetryReport
         failures.append("body-diagonal rotation does not cycle rays 1, 2, 3")
 
     first, second = _PROOF_FIRST_GREEN, frozenset(_PROOF_SECOND_GREENS)
+    quarter = induced_permutation(X_QUARTER_TURN, catalog)
+    perm = {i: i for i in quarter}
     automorphisms: dict[int, IndexPermutation] = {}
-    for angle, rotation in X_AXIS_ROTATIONS.items():
-        perm = induced_permutation(rotation, catalog)
+    for angle in (90, 180, 270):
+        perm = {i: quarter[j] for i, j in perm.items()}
         if is_automorphism(perm, g):
             automorphisms[angle] = perm
         else:

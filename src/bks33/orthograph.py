@@ -159,37 +159,18 @@ def reference_graph() -> OrthoGraph:
 #: 120-degree rotation about the (1,1,1) axis: x -> y -> z -> x.
 ROTATION_111: RotationMatrix = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
 
-#: Proper rotations about the x-axis, keyed by angle in degrees.
-X_AXIS_ROTATIONS: dict[int, RotationMatrix] = {
-    90: ((1, 0, 0), (0, 0, -1), (0, 1, 0)),
-    180: ((1, 0, 0), (0, -1, 0), (0, 0, -1)),
-    270: ((1, 0, 0), (0, 0, 1), (0, -1, 0)),
-}
-
-
-def _check_rotation(m: RotationMatrix) -> None:
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    if det != 1:
-        raise ValueError("rotation must be proper (determinant +1)")
-    for i in range(3):
-        for j in range(3):
-            dot = sum(m[i][k] * m[j][k] for k in range(3))
-            if dot != (1 if i == j else 0):
-                raise ValueError("rotation must be orthogonal")
+#: 90-degree rotation about the x-axis: y -> z -> -y.
+X_QUARTER_TURN: RotationMatrix = ((1, 0, 0), (0, 0, -1), (0, 1, 0))
 
 
 def induced_permutation(rotation: RotationMatrix, catalog: Catalog) -> IndexPermutation:
     """Permutation pi with rotation * catalog[i] naming catalog[pi(i)].
 
     Entries are matched by canonical key, so only exact catalogs qualify.
+    The matrix is not checked: callers pass ROTATION_111 or X_QUARTER_TURN.
     Raises NotClosedError if the rotation does not map the catalog onto
     itself, which includes a catalog that holds one entry twice.
     """
-    _check_rotation(rotation)
     items = list(catalog)
     index = {entry.key(): j for j, entry in enumerate(items, start=1)}
     perm: IndexPermutation = {}

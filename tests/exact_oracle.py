@@ -9,6 +9,9 @@ operations, term by term as the formulas read:
 * ``unit_dot``: the cosine of two integer M-vectors, d / sqrt(N) with d the
   integer dot and N the integer norm product, whose root is taken in
   Q(sqrt2); ``closed_form``: the Majorana closed form over six of them.
+
+``X_AXIS_TURNS`` writes out the three proper turns about the x-axis, which
+the package derives from its quarter turn alone.
 """
 
 from __future__ import annotations
@@ -18,6 +21,12 @@ import math
 from bks33.majorana import MPair, MVector
 from bks33.rays import Ray
 from bks33.scalar import ExactComplex, QRoot2
+
+X_AXIS_TURNS: dict[int, tuple[tuple[int, int, int], ...]] = {
+    90: ((1, 0, 0), (0, 0, -1), (0, 1, 0)),
+    180: ((1, 0, 0), (0, -1, 0), (0, 0, -1)),
+    270: ((1, 0, 0), (0, 0, 1), (0, -1, 0)),
+}
 
 
 def inner(a: Ray, b: Ray) -> ExactComplex:

@@ -8,6 +8,7 @@ from itertools import combinations
 from random import Random
 
 from dimacs_oracle import clause_satisfied, dpll, parse_dimacs
+from exact_oracle import X_AXIS_TURNS
 
 from bks33 import cli
 from bks33.catalog import (
@@ -38,7 +39,6 @@ from bks33.majorana import (
 )
 from bks33.orthograph import (
     ROTATION_111,
-    X_AXIS_ROTATIONS,
     build_graph,
     decompose,
     induced_permutation,
@@ -170,7 +170,7 @@ def test_criterion_4_symmetry_verification():
     pair_catalog = penrose_mpairs()
     graph = reference_graph()
 
-    rotations = [ROTATION_111] + [X_AXIS_ROTATIONS[a] for a in (90, 180, 270)]
+    rotations = [ROTATION_111] + [X_AXIS_TURNS[a] for a in (90, 180, 270)]
     autos_ok = True
     same_half_turn = both_cycle = False
     for rotation in rotations:
@@ -180,7 +180,7 @@ def test_criterion_4_symmetry_verification():
         autos_ok = autos_ok and is_automorphism(pair_perm, graph)
         if rotation is ROTATION_111:
             both_cycle = all(p[1] == 2 and p[2] == 3 and p[3] == 1 for p in (real_perm, pair_perm))
-        if rotation is X_AXIS_ROTATIONS[180]:
+        if rotation is X_AXIS_TURNS[180]:
             same_half_turn = real_perm == pair_perm
 
     report = verify_symmetry_reduction(real_catalog, graph)

@@ -5,6 +5,7 @@ from itertools import combinations
 from random import Random
 
 import pytest
+from exact_oracle import X_AXIS_TURNS
 
 from bks33.catalog import penrose_mpairs, peres_rays
 from bks33.kscolor import (
@@ -24,9 +25,12 @@ from bks33.kscolor import (
 )
 from bks33 import orthograph
 from bks33.orthograph import (
-    X_AXIS_ROTATIONS, OrthoGraph, build_graph, decompose, induced_permutation, is_automorphism,
-    reference_decomposition, reference_graph,
+    NotClosedError, OrthoGraph, build_graph, decompose, induced_permutation,
+    is_automorphism, reference_decomposition, reference_graph,
 )
+from bks33.majorana import MPair, MVector
+from bks33.rays import Ray
+from bks33.scalar import ExactComplex
 
 FULL = decompose(reference_graph())
 
@@ -313,6 +317,28 @@ def test_symmetry_reduction_pair_angles_on_real_catalog():
     assert report.pair_rotations[frozenset({11, 13})] == 90
 
 
+def test_symmetry_reduction_raises_on_a_catalog_no_turn_permutes():
+    graph = reference_graph()
+    rays = peres_rays()
+    broken = list(rays)
+    broken[1] = Ray(tuple(ExactComplex(v) for v in (1, 1, 1)), index=2)
+    pairs = penrose_mpairs()
+    for catalog in (broken, rays + [rays[0]], pairs + [pairs[0]]):
+        with pytest.raises(NotClosedError):
+            verify_symmetry_reduction(catalog, graph)
+
+
+def test_symmetry_reduction_rejects_a_float_catalog():
+    float_rays = [Ray(tuple(map(complex, r.components))) for r in peres_rays()]
+    float_pairs = [
+        MPair(MVector(*map(float, (p.first.x, p.first.y, p.first.z))), p.second)
+        for p in penrose_mpairs()
+    ]
+    for catalog in (float_rays, float_pairs):
+        with pytest.raises(ValueError, match="canonical key"):
+            verify_symmetry_reduction(catalog, reference_graph())
+
+
 def test_alternative_pairs_are_listed_in_sorted_pair_order():
     assert [sorted(p) for p in ALTERNATIVE_SECOND_PAIRS] == sorted(
         sorted(p) for p in ALTERNATIVE_SECOND_PAIRS
@@ -361,7 +387,7 @@ def test_symmetry_reduction_names_automorphisms_only(catalog):
         assert report.passed is False, edge
         for angle in report.pair_rotations.values():
             if angle is not None:
-                perm = induced_permutation(X_AXIS_ROTATIONS[angle], catalog)
+                perm = induced_permutation(X_AXIS_TURNS[angle], catalog)
                 assert is_automorphism(perm, broken), (edge, angle)
 
 

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from exact_oracle import X_AXIS_TURNS
 
 from bks33.catalog import FamilyParams, family_rays, penrose_mpairs, peres_rays
 from bks33.orthograph import (
@@ -14,7 +15,7 @@ from bks33.orthograph import (
     NotClosedError,
     OrthoGraph,
     ROTATION_111,
-    X_AXIS_ROTATIONS,
+    X_QUARTER_TURN,
     build_graph,
     decompose,
     induced_permutation,
@@ -26,7 +27,7 @@ from bks33.majorana import MPair, MVector
 from bks33.rays import Ray
 from bks33.scalar import DEFAULT_TOL, ExactComplex, QRoot2
 
-ROTATIONS = (ROTATION_111, *X_AXIS_ROTATIONS.values())
+ROTATIONS = (ROTATION_111, *X_AXIS_TURNS.values())
 
 
 def test_real_graph_has_72_edges_and_reference_decomposition():
@@ -177,12 +178,12 @@ def test_induced_permutations_are_automorphisms():
     g = reference_graph()
     for catalog in (peres_rays(), penrose_mpairs()):
         assert is_automorphism(induced_permutation(ROTATION_111, catalog), g)
-        for rotation in X_AXIS_ROTATIONS.values():
+        for rotation in X_AXIS_TURNS.values():
             assert is_automorphism(induced_permutation(rotation, catalog), g)
 
 
 def test_x180_fixes_ray_1_and_matches_across_catalogs():
-    rot = X_AXIS_ROTATIONS[180]
+    rot = X_AXIS_TURNS[180]
     real_perm = induced_permutation(rot, peres_rays())
     assert real_perm[1] == 1
     assert induced_permutation(rot, penrose_mpairs()) == real_perm
@@ -203,7 +204,7 @@ def test_catalog_geometries_induce_different_permutations():
 def test_permutation_composition_and_inverse_stay_automorphisms():
     g = reference_graph()
     p = induced_permutation(ROTATION_111, peres_rays())
-    q = induced_permutation(X_AXIS_ROTATIONS[90], peres_rays())
+    q = induced_permutation(X_QUARTER_TURN, peres_rays())
     composed = {i: p[q[i]] for i in q}
     inverse = {v: k for k, v in p.items()}
     assert is_automorphism(composed, g)
@@ -227,22 +228,28 @@ def test_not_closed_rotation_raises():
         induced_permutation(ROTATION_111, broken)
 
 
-def test_permutations_ignore_entry_rescaling():
+def rescaled_catalogs() -> tuple[list[Ray], list[MPair]]:
+    """Both catalogs with every entry rescaled, M-pairs also swapped."""
     # nonzero elements of Z[sqrt2, i]: 1+sqrt2, i, 2-i
     factors = (ExactComplex(QRoot2(1, 1)), ExactComplex(0, 1), ExactComplex(2, -1))
-    rays = peres_rays()
     scaled_rays = [
-        Ray(tuple(factors[i % 3] * c for c in r.components)) for i, r in enumerate(rays)
+        Ray(tuple(factors[i % 3] * c for c in r.components))
+        for i, r in enumerate(peres_rays())
     ]
 
     def scaled(v: MVector, k: int) -> MVector:
         return MVector(k * v.x, k * v.y, k * v.z)
 
-    pairs = penrose_mpairs()
     scaled_pairs = [
         MPair(scaled(p.second, i % 4 + 1), scaled(p.first, i % 5 + 2))
-        for i, p in enumerate(pairs)
+        for i, p in enumerate(penrose_mpairs())
     ]
+    return scaled_rays, scaled_pairs
+
+
+def test_permutations_ignore_entry_rescaling():
+    rays, pairs = peres_rays(), penrose_mpairs()
+    scaled_rays, scaled_pairs = rescaled_catalogs()
     for rotation in ROTATIONS:
         assert induced_permutation(rotation, scaled_rays) == induced_permutation(rotation, rays)
         assert induced_permutation(rotation, scaled_pairs) == induced_permutation(rotation, pairs)
@@ -274,11 +281,51 @@ def test_mvector_keys_keep_sign_and_drop_scale():
     assert MVector(0, -2, -2).key() != MVector(0, 1, 1).key()
 
 
-def test_invalid_rotation_matrices_rejected():
-    with pytest.raises(ValueError):
-        induced_permutation(((1, 0, 0), (0, 1, 0), (0, 0, -1)), peres_rays())
-    with pytest.raises(ValueError):
-        induced_permutation(((1, 1, 0), (0, 1, 0), (0, 0, 1)), peres_rays())
+def test_x_axis_turns_are_powers_of_the_quarter_turn():
+    for catalog in (peres_rays(), penrose_mpairs(), *rescaled_catalogs()):
+        quarter = induced_permutation(X_QUARTER_TURN, catalog)
+        square = {i: quarter[quarter[i]] for i in quarter}
+        cube = {i: quarter[square[i]] for i in quarter}
+        assert induced_permutation(X_AXIS_TURNS[90], catalog) == quarter
+        assert induced_permutation(X_AXIS_TURNS[180], catalog) == square
+        assert induced_permutation(X_AXIS_TURNS[270], catalog) == cube
+        assert {i: quarter[cube[i]] for i in quarter} == {i: i for i in quarter}
+
+
+IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def matmul(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)) for i in range(3)
+    )
+
+
+def apply(m, v):
+    return tuple(sum(p * q for p, q in zip(row, v)) for row in m)
+
+
+def det(m):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def test_rotation_constants_are_proper_turns():
+    for m in (ROTATION_111, X_QUARTER_TURN):
+        assert det(m) == 1
+        assert matmul(m, tuple(zip(*m))) == IDENTITY  # orthonormal rows
+    x, y, z = IDENTITY
+    square = matmul(ROTATION_111, ROTATION_111)
+    assert IDENTITY not in (ROTATION_111, square)
+    assert matmul(square, ROTATION_111) == IDENTITY
+    assert [apply(ROTATION_111, v) for v in (x, y, z)] == [y, z, x]
+    powers = [X_QUARTER_TURN]
+    for _ in range(3):
+        powers.append(matmul(powers[-1], X_QUARTER_TURN))
+    assert IDENTITY not in powers[:3] and powers[3] == IDENTITY
+    assert apply(X_QUARTER_TURN, x) == x
+    # the oracle's half and three-quarter turns are the quarter turn's powers
+    assert powers[:3] == [X_AXIS_TURNS[90], X_AXIS_TURNS[180], X_AXIS_TURNS[270]]
 
 
 def test_delete_vertex():
