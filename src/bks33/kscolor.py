@@ -6,17 +6,17 @@ every dyad at most one.  Propagation applies two rules to a fixpoint:
   (i)  a green ray turns every triad-mate and dyad-partner red;
   (ii) a triad with two reds turns its remaining member green.
 
-Rule (i) runs from every new green; then a scan of the triads in constraint
-order finds the first all-red triad or fires rule (ii) once.  That makes
-traces deterministic and reproduces the documented forcing chain step for step.
+Rule (i) runs from every new green; then one triad scan in constraint order
+finds the first all-red triad or fires rule (ii) once.  That makes traces
+deterministic and reproduces the documented forcing chain step for step.
 
 Inside the engine a partial coloring is two Python-int bitmasks, ``green``
-and ``red``, bit v standing for ray v.  ``propagate`` and ``search`` each
-compile the constraint set's triads and dyads to masks and run the same
-fixpoint on them, with the rules in the order above.  Outside the engine
-a partial coloring is its set of green rays and its set of red rays, as
-``propagate`` takes and returns them; a complete coloring is its set of
-green rays, every other ray being red.
+and ``red``, bit v standing for ray v.  ``search`` decides on mate masks
+alone; ``propagate`` explains, recording each forced step and the witness.
+Both reach the same fixpoint or conflict, as unit propagation does in any
+order.  Outside the engine a partial coloring is its set of green rays and
+its set of red rays, as ``propagate`` takes and returns them; a complete
+coloring is its set of green rays, every other ray being red.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .orthograph import (
     decompose,
     induced_permutation,
     is_automorphism,
+    key_index,
 )
 
 
@@ -47,32 +48,27 @@ Constraint = tuple[int, ...]
 
 
 class _Compiled(NamedTuple):
-    """The fixpoint's table: per vertex, its constraints (triads before
-    dyads, in constraint order) with their other members; every triad as
-    (mask, triad), in constraint order."""
+    """Per vertex, the mask of its triad-mates and dyad-partners; every
+    triad as (mask, triad), in constraint order."""
 
-    constraints_through: dict[int, list[tuple[Constraint, Constraint]]]
+    mates: dict[int, int]
     triads: tuple[tuple[int, Constraint], ...]
 
 
 def _compile(cs: ConstraintSet) -> _Compiled:
-    # Each triad a, b, c and dyad a, b is unpacked, its mates appended as
-    # tuple displays to per-vertex lists that are kept as built: no tuple
-    # comes from a slice, a copy or a generator, which CPython resizes
-    # and, once freed, keeps in its per-size tuple free lists.
-    constraints: dict[int, list] = {v: [] for v in cs.vertices}
+    mates = dict.fromkeys(cs.vertices, 0)
     triads = []
     for t in cs.triads:
         a, b, c = t
-        triads.append(((1 << a) + (1 << b) + (1 << c), t))
-        constraints[a].append((t, (b, c)))
-        constraints[b].append((t, (a, c)))
-        constraints[c].append((t, (a, b)))
-    for p in cs.dyads:
-        a, b = p
-        constraints[a].append((p, (b,)))
-        constraints[b].append((p, (a,)))
-    return _Compiled(constraints, tuple(triads))
+        bit_a, bit_b, bit_c = 1 << a, 1 << b, 1 << c
+        triads.append((bit_a | bit_b | bit_c, t))
+        mates[a] |= bit_b | bit_c
+        mates[b] |= bit_a | bit_c
+        mates[c] |= bit_a | bit_b
+    for a, b in cs.dyads:
+        mates[a] |= 1 << b
+        mates[b] |= 1 << a
+    return _Compiled(mates, tuple(triads))
 
 
 @dataclass(frozen=True)
@@ -110,45 +106,46 @@ class Propagation:
     contradiction: Contradiction | None
 
 
-_Step = tuple[int, Color, Constraint | None]
+_Step = tuple[int, Color, Constraint]
 
 
 def _fixpoint(
-    table: _Compiled, green: int, red: int, queue: list[int], steps: list[_Step]
+    cs: ConstraintSet, green: int, red: int, queue: list[int], steps: list[_Step]
 ) -> tuple[int, int, tuple[str, Constraint] | None]:
     """Apply both rules to the masks; return them and any (kind, constraint).
 
     The greens in ``queue`` force their mates red, in constraint order.
-    Then the first all-red triad in constraint order is the witness, or else
-    rule (ii) fires the first triad with no green and one free member, and
-    its green drains next.  Forced steps are appended to ``steps``.
+    Then one triad scan in constraint order returns the first all-red triad
+    as the witness, or else rule (ii) fires the first triad with no green
+    and one free member, and its green drains next.  Forced steps are
+    appended to ``steps``.
     """
-    constraints_through, triads = table
+    constraints, triads = cs.triads + cs.dyads, _compile(cs).triads
     while True:
         for ray in queue:
-            for c, mates in constraints_through[ray]:
-                for m in mates:
-                    bit = 1 << m
-                    if green & bit:
-                        return green, red, ("two_greens", c)
-                    if not red & bit:
+            for c in constraints:
+                if ray in c:
+                    for m in c:
+                        bit = 1 << m
+                        if m == ray or red & bit:
+                            continue
+                        if green & bit:
+                            return green, red, ("two_greens", c)
                         red |= bit
                         steps.append((m, Color.RED, c))
+        fire = None
         for mask, t in triads:
-            if red & mask == mask:
+            free = mask & ~red  # holds any green, since no green is red
+            if not free:
                 return green, red, ("all_red", t)
-        for mask, t in triads:
-            if mask & green:
-                continue
-            free = mask & ~red
-            if free and not free & (free - 1):
-                ray = free.bit_length() - 1
-                green |= free
-                steps.append((ray, Color.GREEN, t))
-                queue = [ray]
-                break
-        else:
+            if fire is None and not mask & green and not free & (free - 1):
+                fire = free, t
+        if fire is None:
             return green, red, None
+        free, t = fire
+        queue = [free.bit_length() - 1]
+        green |= free
+        steps.append((queue[0], Color.GREEN, t))
 
 
 def propagate(greens: Iterable[int], reds: Iterable[int], cs: ConstraintSet) -> Propagation:
@@ -165,7 +162,7 @@ def propagate(greens: Iterable[int], reds: Iterable[int], cs: ConstraintSet) -> 
         raise ValueError(f"rays given both colors: {sorted(both)}")
     queue = sorted(start_greens)
     steps: list[_Step] = []
-    green, red, witness = _fixpoint(_compile(cs), sum(1 << r for r in queue),
+    green, red, witness = _fixpoint(cs, sum(1 << r for r in queue),
                                     sum(1 << r for r in start_reds), queue, steps)
     return Propagation(frozenset(v for v in cs.vertices if green >> v & 1),
                        frozenset(v for v in cs.vertices if red >> v & 1),
@@ -186,41 +183,52 @@ def search(cs: ConstraintSet) -> SearchResult:
     undecided members; once every triad holds a green, the remaining rays
     are red.  Returns None only after the whole choice tree is exhausted.
     """
-    trail: list[_Step] = []
-    found, nodes = _descend(_compile(cs), 0, 0, [], trail)
-    greens = frozenset(ray for ray, color, _ in trail if color is Color.GREEN)
-    return SearchResult(greens if found else None, nodes)
+    green, nodes = _descend(_compile(cs), 0, 0, 0)
+    greens = None if green is None else frozenset(v for v in cs.vertices if green >> v & 1)
+    return SearchResult(greens, nodes)
 
 
-def _descend(
-    table: _Compiled, green: int, red: int, queue: list[int], trail: list[_Step]
-) -> tuple[bool, int]:
-    """Search below one node: whether a coloring was found, and the nodes.
+def _close(table: _Compiled, green: int, red: int, reds: int) -> tuple[int, int] | None:
+    """Both rules to a fixpoint from one new green whose mates are ``reds``:
+    the green and red masks, or None at an all-red triad.  No mate is green:
+    a new green is never red, and every green's mates are red already."""
+    while True:
+        red |= reds
+        for mask, _ in table.triads:
+            if not mask & green:
+                free = mask & ~red
+                if not free & (free - 1):
+                    if not free:
+                        return None
+                    green |= free
+                    reds = table.mates[free.bit_length() - 1]
+                    break
+        else:
+            return green, red
 
-    ``queue`` holds only the node's new green: the parent is a fixpoint,
-    and unit propagation reaches the same fixpoint, or a conflict, in any
-    order.  A coloring found is left on ``trail`` in assignment order.
-    """
-    green, red, witness = _fixpoint(table, green, red, queue, trail)
-    if witness is not None:
-        return False, 1
+
+def _descend(table: _Compiled, green: int, red: int, reds: int) -> tuple[int | None, int]:
+    """Search below one node: the green mask of a coloring found, or None,
+    and the nodes.  ``reds`` are the mates of the node's new green alone, as
+    the parent is a fixpoint and the order of propagation does not matter."""
+    closed = _close(table, green, red, reds)
+    if closed is None:
+        return None, 1
+    green, red = closed
     done = green | red
     open_triads = [
         ((mask & ~done).bit_count(), t) for mask, t in table.triads if not mask & green
     ]
     if not open_triads:
-        return True, 1
+        return green, 1
     nodes = 1
-    mark = len(trail)
     for m in min(open_triads)[1]:
         if not done >> m & 1:
-            trail.append((m, Color.GREEN, None))
-            found, below = _descend(table, green | 1 << m, red, [m], trail)
+            found, below = _descend(table, green | 1 << m, red, table.mates[m])
             nodes += below
-            if found:
-                return True, nodes
-            del trail[mark:]
-    return False, nodes
+            if found is not None:
+                return found, nodes
+    return None, nodes
 
 
 def validate_coloring(greens: frozenset[int], cs: ConstraintSet) -> bool:
@@ -334,14 +342,15 @@ def verify_symmetry_reduction(catalog: Catalog, g: OrthoGraph) -> SymmetryReport
     """
     failures: list[str] = []
 
-    perm111 = induced_permutation(ROTATION_111, catalog)
+    index = key_index(catalog)
+    perm111 = induced_permutation(ROTATION_111, catalog, index)
     if not is_automorphism(perm111, g):
         failures.append("body-diagonal permutation is not an automorphism")
     if not (perm111[1] == 2 and perm111[2] == 3 and perm111[3] == 1):
         failures.append("body-diagonal rotation does not cycle rays 1, 2, 3")
 
     first, second = _PROOF_FIRST_GREEN, frozenset(_PROOF_SECOND_GREENS)
-    quarter = induced_permutation(X_QUARTER_TURN, catalog)
+    quarter = induced_permutation(X_QUARTER_TURN, catalog, index)
     perm = {i: i for i in quarter}
     automorphisms: dict[int, IndexPermutation] = {}
     for angle in (90, 180, 270):

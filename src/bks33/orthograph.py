@@ -163,23 +163,28 @@ ROTATION_111: RotationMatrix = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
 X_QUARTER_TURN: RotationMatrix = ((1, 0, 0), (0, 0, -1), (0, 1, 0))
 
 
-def induced_permutation(rotation: RotationMatrix, catalog: Catalog) -> IndexPermutation:
+def key_index(catalog: Catalog) -> dict[Hashable, int]:
+    """Each entry's canonical key, exact entries only, to its 1-based position."""
+    return {entry.key(): j for j, entry in enumerate(catalog, start=1)}
+
+
+def induced_permutation(rotation: RotationMatrix, catalog: Catalog,
+                        index: dict[Hashable, int]) -> IndexPermutation:
     """Permutation pi with rotation * catalog[i] naming catalog[pi(i)].
 
-    Entries are matched by canonical key, so only exact catalogs qualify.
+    Entries are matched by canonical key: ``index`` is ``key_index(catalog)``,
+    derived once by a caller that applies several rotations to the catalog.
     The matrix is not checked: callers pass ROTATION_111 or X_QUARTER_TURN.
     Raises NotClosedError if the rotation does not map the catalog onto
     itself, which includes a catalog that holds one entry twice.
     """
-    items = list(catalog)
-    index = {entry.key(): j for j, entry in enumerate(items, start=1)}
     perm: IndexPermutation = {}
-    for i, entry in enumerate(items, start=1):
+    for i, entry in enumerate(catalog, start=1):
         image = index.get(entry.rotated(rotation).key())
         if image is None:
             raise NotClosedError(f"rotation image of entry {i} is not in the catalog")
         perm[i] = image
-    if len(set(perm.values())) != len(items):
+    if len(set(perm.values())) != len(perm):
         raise NotClosedError("rotation does not permute the catalog")
     return perm
 

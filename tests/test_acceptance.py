@@ -43,6 +43,7 @@ from bks33.orthograph import (
     decompose,
     induced_permutation,
     is_automorphism,
+    key_index,
     reference_decomposition,
     reference_graph,
 )
@@ -168,14 +169,15 @@ def test_criterion_4_symmetry_verification():
     # generality" choices by the same turns.
     real_catalog = peres_rays()
     pair_catalog = penrose_mpairs()
+    real_index, pair_index = key_index(real_catalog), key_index(pair_catalog)
     graph = reference_graph()
 
     rotations = [ROTATION_111] + [X_AXIS_TURNS[a] for a in (90, 180, 270)]
     autos_ok = True
     same_half_turn = both_cycle = False
     for rotation in rotations:
-        real_perm = induced_permutation(rotation, real_catalog)
-        pair_perm = induced_permutation(rotation, pair_catalog)
+        real_perm = induced_permutation(rotation, real_catalog, real_index)
+        pair_perm = induced_permutation(rotation, pair_catalog, pair_index)
         autos_ok = autos_ok and is_automorphism(real_perm, graph)
         autos_ok = autos_ok and is_automorphism(pair_perm, graph)
         if rotation is ROTATION_111:

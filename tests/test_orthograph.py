@@ -20,6 +20,7 @@ from bks33.orthograph import (
     decompose,
     induced_permutation,
     is_automorphism,
+    key_index,
     reference_decomposition,
     reference_graph,
 )
@@ -28,6 +29,11 @@ from bks33.rays import Ray
 from bks33.scalar import DEFAULT_TOL, ExactComplex, QRoot2
 
 ROTATIONS = (ROTATION_111, *X_AXIS_TURNS.values())
+
+
+def permutation(rotation, catalog):
+    """``induced_permutation`` with the catalog's own key index."""
+    return induced_permutation(rotation, catalog, key_index(catalog))
 
 
 def test_real_graph_has_72_edges_and_reference_decomposition():
@@ -168,25 +174,25 @@ def test_build_graph_requires_33_entries():
 
 
 def test_induced_permutation_body_diagonal():
-    perm = induced_permutation(ROTATION_111, peres_rays())
+    perm = permutation(ROTATION_111, peres_rays())
     assert perm[1] == 2 and perm[2] == 3 and perm[3] == 1
-    pairs_perm = induced_permutation(ROTATION_111, penrose_mpairs())
+    pairs_perm = permutation(ROTATION_111, penrose_mpairs())
     assert pairs_perm[1] == 2 and pairs_perm[2] == 3 and pairs_perm[3] == 1
 
 
 def test_induced_permutations_are_automorphisms():
     g = reference_graph()
     for catalog in (peres_rays(), penrose_mpairs()):
-        assert is_automorphism(induced_permutation(ROTATION_111, catalog), g)
+        assert is_automorphism(permutation(ROTATION_111, catalog), g)
         for rotation in X_AXIS_TURNS.values():
-            assert is_automorphism(induced_permutation(rotation, catalog), g)
+            assert is_automorphism(permutation(rotation, catalog), g)
 
 
 def test_x180_fixes_ray_1_and_matches_across_catalogs():
     rot = X_AXIS_TURNS[180]
-    real_perm = induced_permutation(rot, peres_rays())
+    real_perm = permutation(rot, peres_rays())
     assert real_perm[1] == 1
-    assert induced_permutation(rot, penrose_mpairs()) == real_perm
+    assert permutation(rot, penrose_mpairs()) == real_perm
 
 
 def test_catalog_geometries_induce_different_permutations():
@@ -194,8 +200,8 @@ def test_catalog_geometries_induce_different_permutations():
     # underlying geometry: ray 6 lies along (1,0,1) and rotates onto ray 9
     # = (1,1,0), while M-pair 6 = {+-(1,0,1)} rotates onto pair 8 =
     # {+-(1,1,0)}.  Both permutations are automorphisms of the same graph.
-    real_perm = induced_permutation(ROTATION_111, peres_rays())
-    pair_perm = induced_permutation(ROTATION_111, penrose_mpairs())
+    real_perm = permutation(ROTATION_111, peres_rays())
+    pair_perm = permutation(ROTATION_111, penrose_mpairs())
     assert real_perm[6] == 9
     assert pair_perm[6] == 8
     assert real_perm != pair_perm
@@ -203,8 +209,8 @@ def test_catalog_geometries_induce_different_permutations():
 
 def test_permutation_composition_and_inverse_stay_automorphisms():
     g = reference_graph()
-    p = induced_permutation(ROTATION_111, peres_rays())
-    q = induced_permutation(X_QUARTER_TURN, peres_rays())
+    p = permutation(ROTATION_111, peres_rays())
+    q = permutation(X_QUARTER_TURN, peres_rays())
     composed = {i: p[q[i]] for i in q}
     inverse = {v: k for k, v in p.items()}
     assert is_automorphism(composed, g)
@@ -225,7 +231,7 @@ def test_not_closed_rotation_raises():
     broken = list(rays)
     broken[1] = Ray(tuple(ExactComplex(v) for v in (1, 1, 1)), index=2)
     with pytest.raises(NotClosedError):
-        induced_permutation(ROTATION_111, broken)
+        permutation(ROTATION_111, broken)
 
 
 def rescaled_catalogs() -> tuple[list[Ray], list[MPair]]:
@@ -251,29 +257,36 @@ def test_permutations_ignore_entry_rescaling():
     rays, pairs = peres_rays(), penrose_mpairs()
     scaled_rays, scaled_pairs = rescaled_catalogs()
     for rotation in ROTATIONS:
-        assert induced_permutation(rotation, scaled_rays) == induced_permutation(rotation, rays)
-        assert induced_permutation(rotation, scaled_pairs) == induced_permutation(rotation, pairs)
+        assert permutation(rotation, scaled_rays) == permutation(rotation, rays)
+        assert permutation(rotation, scaled_pairs) == permutation(rotation, pairs)
 
 
 def test_float_catalogs_have_no_keys():
     with pytest.raises(ValueError):
         float_rays = [Ray(tuple(map(complex, r.components))) for r in peres_rays()]
-        induced_permutation(ROTATION_111, float_rays)
+        key_index(float_rays)
     float_pairs = [
         MPair(MVector(*map(float, (p.first.x, p.first.y, p.first.z))), p.second)
         for p in penrose_mpairs()
     ]
     with pytest.raises(ValueError):
-        induced_permutation(ROTATION_111, float_pairs)
+        key_index(float_pairs)
+
+
+def test_key_index_maps_each_key_to_its_position():
+    for catalog in (peres_rays(), penrose_mpairs()):
+        index = key_index(catalog)
+        assert index == {entry.key(): j for j, entry in enumerate(catalog, start=1)}
+        assert sorted(index.values()) == list(range(1, 34))
 
 
 def test_duplicated_entry_raises():
     rays = peres_rays()
     with pytest.raises(NotClosedError):
-        induced_permutation(ROTATION_111, rays + [rays[0]])
+        permutation(ROTATION_111, rays + [rays[0]])
     pairs = penrose_mpairs()
     with pytest.raises(NotClosedError):
-        induced_permutation(ROTATION_111, pairs + [MPair(pairs[21].second, pairs[21].first)])
+        permutation(ROTATION_111, pairs + [MPair(pairs[21].second, pairs[21].first)])
 
 
 def test_mvector_keys_keep_sign_and_drop_scale():
@@ -283,12 +296,12 @@ def test_mvector_keys_keep_sign_and_drop_scale():
 
 def test_x_axis_turns_are_powers_of_the_quarter_turn():
     for catalog in (peres_rays(), penrose_mpairs(), *rescaled_catalogs()):
-        quarter = induced_permutation(X_QUARTER_TURN, catalog)
+        quarter = permutation(X_QUARTER_TURN, catalog)
         square = {i: quarter[quarter[i]] for i in quarter}
         cube = {i: quarter[square[i]] for i in quarter}
-        assert induced_permutation(X_AXIS_TURNS[90], catalog) == quarter
-        assert induced_permutation(X_AXIS_TURNS[180], catalog) == square
-        assert induced_permutation(X_AXIS_TURNS[270], catalog) == cube
+        assert permutation(X_AXIS_TURNS[90], catalog) == quarter
+        assert permutation(X_AXIS_TURNS[180], catalog) == square
+        assert permutation(X_AXIS_TURNS[270], catalog) == cube
         assert {i: quarter[cube[i]] for i in quarter} == {i: i for i in quarter}
 
 
