@@ -23,8 +23,9 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations, combinations_with_replacement
 from random import Random
-from typing import Union
+from typing import Iterator, Sequence, Union
 
 from .rays import Ray, overlap2
 from .scalar import DEFAULT_TOL, QRoot2, RealScalar
@@ -111,10 +112,25 @@ class MPair:
     def rotated(self, m: tuple[tuple[int, int, int], ...]) -> MPair:
         return MPair(self.first.rotated(m), self.second.rotated(m))
 
-    def orthogonal_to(self, other: MPair) -> bool:
-        """Exact zero test of the closed form for exact pairs, else < DEFAULT_TOL^2."""
-        value = overlap2_closed_form(self, other)
-        return value == 0 if self.is_exact else value < DEFAULT_TOL * DEFAULT_TOL
+    @classmethod
+    def orthogonal_pairs(cls, pairs: Sequence[MPair]) -> list[tuple[int, int]]:
+        """Every orthogonal pair (i, j), i < j, of 1-based positions in ``pairs``.
+
+        Exact pairs: the numerator X of the closed form is tested for 0, in
+        one loop over integers (``_closed_form_ints``).  Float pairs:
+        ``overlap2_closed_form < DEFAULT_TOL**2``.  Pairs of both kinds raise
+        ValueError, as does an exact norm product outside Q(sqrt2).
+        """
+        kinds = {p.is_exact for p in pairs}
+        if len(kinds) > 1:
+            raise ValueError("cannot compare an exact M-pair with a float M-pair")
+        if False in kinds:
+            tol2 = DEFAULT_TOL * DEFAULT_TOL
+            return [
+                (i, j) for (i, a), (j, b) in combinations(enumerate(pairs, start=1), 2)
+                if overlap2_closed_form(a, b) < tol2
+            ]
+        return [(i, j) for i, j, x0, x1, _, _ in _closed_form_ints(pairs) if not (x0 or x1)]
 
 
 def spinor_from_direction(v: MVector) -> tuple[complex, complex]:
@@ -178,6 +194,46 @@ def mpair_from_state(s: Ray) -> MPair:
     return MPair(_direction(r1), _direction(r2))
 
 
+def _closed_form_ints(pairs: Sequence[MPair]) -> Iterator[tuple[int, ...]]:
+    """(i, j, X0, X1, Y0, Y1) for each i < j of 1-based positions in the
+    exact ``pairs``: the closed form of pairs i and j is X / Y, with
+    X = X0 + X1*sqrt2 and Y = Y0 + Y1*sqrt2 (see ``overlap2_closed_form``).
+
+    Each pair is unpacked once, and the square root of each product of two
+    of the distinct M-vector norms is taken once per call; ValueError for one
+    outside Q(sqrt2).  Every such product is needed once there are two pairs.
+    """
+    norms = {v.norm2 for p in pairs for v in (p.first, p.second)}
+    roots = {n * m: _root(n * m) for n, m in combinations_with_replacement(norms, 2)}
+    rows = []
+    for p in pairs:
+        a, b = p.first, p.second
+        wa, va = roots[a.norm2 * b.norm2]
+        rows.append((a.x, a.y, a.z, b.x, b.y, b.z, a.norm2, b.norm2, a.dot(b), wa, va))
+    for i, (x1, y1, z1, x2, y2, z2, n1, n2, da, wa, va) in enumerate(rows, start=1):
+        for j in range(i, len(rows)):
+            X1, Y1, Z1, X2, Y2, Z2, m1, m2, db, wb, vb = rows[j]
+            d11, d12 = x1 * X1 + y1 * Y1 + z1 * Z1, x1 * X2 + y1 * Y2 + z1 * Z2
+            d21, d22 = x2 * X1 + y2 * Y1 + z2 * Z1, x2 * X2 + y2 * Y2 + z2 * Z2
+            # (wxy + vxy*sqrt2)^2 = |ax|^2 |by|^2, and t11 * R = d11 * (w22 + v22*sqrt2)
+            w11, v11 = roots[n1 * m1]
+            w12, v12 = roots[n1 * m2]
+            w21, v21 = roots[n2 * m1]
+            w22, v22 = roots[n2 * m2]
+            r0, r1 = wa * wb + 2 * va * vb, wa * vb + va * wb
+            # (t11 + t22 + t12 + t21) * R
+            cross0 = d11 * w22 + d22 * w11 + d12 * w21 + d21 * w12
+            cross1 = d11 * v22 + d22 * v11 + d12 * v21 + d21 * v12
+            # (ta + tb) * R
+            side0, side1 = da * wb + db * wa, da * vb + db * va
+            yield (
+                i, j + 1,
+                3 * r0 + 2 * cross0 + side0 + 2 * (d11 * d22 + d12 * d21) - da * db,
+                3 * r1 + 2 * cross1 + side1,
+                9 * r0 + 3 * side0 + da * db, 9 * r1 + 3 * side1,
+            )
+
+
 def overlap2_closed_form(pa: MPair, pb: MPair) -> RealScalar:
     """Squared overlap of two spin-1 rays directly from their M-vectors.
 
@@ -203,26 +259,11 @@ def overlap2_closed_form(pa: MPair, pb: MPair) -> RealScalar:
     exact = pa.is_exact
     if exact is not pb.is_exact:
         raise ValueError("cannot compare an exact M-pair with a float M-pair")
+    if exact:
+        _, _, num0, num1, den0, den1 = next(_closed_form_ints((pa, pb)))
+        return QRoot2(num0, num1) / QRoot2(den0, den1)
     a1, a2 = pa.first, pa.second
     b1, b2 = pb.first, pb.second
-    if exact:
-        n1, n2, m1, m2 = a1.norm2, a2.norm2, b1.norm2, b2.norm2
-        d11, d12, d21, d22 = a1.dot(b1), a1.dot(b2), a2.dot(b1), a2.dot(b2)
-        da, db = a1.dot(a2), b1.dot(b2)
-        # (wxy + vxy*sqrt2)^2 = |ax|^2 |by|^2, and t11 * R = d11 * (w22 + v22*sqrt2)
-        (w11, v11), (w12, v12) = _root(n1 * m1), _root(n1 * m2)
-        (w21, v21), (w22, v22) = _root(n2 * m1), _root(n2 * m2)
-        (wa, va), (wb, vb) = _root(n1 * n2), _root(m1 * m2)
-        r0, r1 = wa * wb + 2 * va * vb, wa * vb + va * wb
-        # (t11 + t22 + t12 + t21) * R
-        cross0 = d11 * w22 + d22 * w11 + d12 * w21 + d21 * w12
-        cross1 = d11 * v22 + d22 * v11 + d12 * v21 + d21 * v12
-        # (ta + tb) * R
-        side0, side1 = da * wb + db * wa, da * vb + db * va
-        num0 = 3 * r0 + 2 * cross0 + side0 + 2 * (d11 * d22 + d12 * d21) - da * db
-        num1 = 3 * r1 + 2 * cross1 + side1
-        den0, den1 = 9 * r0 + 3 * side0 + da * db, 9 * r1 + 3 * side1
-        return QRoot2(num0, num1) / QRoot2(den0, den1)
     (x1, y1, z1), (x2, y2, z2) = a1.unit(), a2.unit()
     (u1, v1, w1), (u2, v2, w2) = b1.unit(), b2.unit()
     t11 = x1 * u1 + y1 * v1 + z1 * w1

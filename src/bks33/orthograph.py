@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Hashable, Protocol, Sequence
 
 Edge = tuple[int, int]
@@ -77,8 +76,11 @@ class Entry(Protocol):
     def rotated(self, m: RotationMatrix) -> Entry:
         """Image under an integer rotation matrix."""
 
-    def orthogonal_to(self, other: Entry) -> bool:
-        """Exact for exact entries, within ``scalar.DEFAULT_TOL`` otherwise."""
+    @classmethod
+    def orthogonal_pairs(cls, entries: Sequence[Entry]) -> list[Edge]:
+        """Every orthogonal pair (i, j), i < j, of 1-based positions in
+        ``entries``: exact for exact entries, within ``scalar.DEFAULT_TOL``
+        otherwise."""
 
 
 Catalog = Sequence[Entry]
@@ -89,11 +91,7 @@ def build_graph(catalog: Catalog) -> OrthoGraph:
     items = list(catalog)
     if len(items) != CATALOG_SIZE:
         raise ValueError(f"expected {CATALOG_SIZE} catalog entries, got {len(items)}")
-    edges = frozenset(
-        (i, j)
-        for (i, a), (j, b) in combinations(enumerate(items, start=1), 2)
-        if a.orthogonal_to(b)
-    )
+    edges = frozenset(items[0].orthogonal_pairs(items))
     return OrthoGraph(frozenset(range(1, CATALOG_SIZE + 1)), edges)
 
 

@@ -2,12 +2,15 @@
 
 ``is_orthogonal`` on exact rays must give the oracle's verdict, and
 ``overlap2_closed_form`` on exact M-pairs the oracle's value, on every pair
-of each catalog; ``Ray.key`` must be the oracle's key, written over one
-denominator, and so unchanged under rescaling by Q(sqrt2, i).
+of each catalog; the pair kernels ``Ray.orthogonal_pairs`` and
+``MPair.orthogonal_pairs``, and ``build_graph`` through them, must find the
+pairs the oracle finds orthogonal.  ``Ray.key`` must be the oracle's key,
+written over one denominator, and so unchanged under rescaling by Q(sqrt2, i).
 """
 
 import math
 from itertools import combinations, cycle, product
+from random import Random
 
 import pytest
 
@@ -20,7 +23,7 @@ from bks33.catalog import (
     peres_rays,
 )
 from bks33.majorana import MPair, MVector, overlap2_closed_form
-from bks33.orthograph import reference_graph
+from bks33.orthograph import build_graph, reference_graph
 from bks33.rays import Ray, is_orthogonal
 from bks33.scalar import ExactComplex, QRoot2
 
@@ -56,6 +59,8 @@ def assert_verdicts_match_oracle(rays: list[Ray]) -> None:
         if verdict:
             edges.add((i, j))
     assert edges == REFERENCE_EDGES
+    assert Ray.orthogonal_pairs(rays) == sorted(edges)
+    assert build_graph(rays).edges == edges
 
 
 @pytest.mark.parametrize("catalog", [
@@ -96,9 +101,37 @@ def test_mpair_values_match_the_generic_closed_form(k):
         value = overlap2_closed_form(a, b)
         assert isinstance(value, QRoot2)
         assert value == oracle.closed_form(a, b), (i, j)
-        if a.orthogonal_to(b):
+        if not value:
             zeros.add((i, j))
     assert zeros == REFERENCE_EDGES
+    assert MPair.orthogonal_pairs(pairs) == sorted(zeros)
+    assert build_graph(pairs).edges == zeros
+
+
+#: Integer vectors in [-2, 2]^3 of norm s^2 or 2*s^2 (1, 2, 4, 8 or 9): every
+#: product of two such norms has its square root in Q(sqrt2).
+FIELD_VECTORS = [
+    MVector(*v) for v in product(range(-2, 3), repeat=3)
+    if v[0] ** 2 + v[1] ** 2 + v[2] ** 2 in (1, 2, 4, 8, 9)
+]
+
+
+def test_mpair_verdicts_match_the_generic_closed_form_on_random_pairs():
+    # unlike the catalog's, these pairs have numerators X = X0 + X1*sqrt2
+    # with one part 0 and the other not, so each part must be tested
+    rng = Random(1)
+    orthogonal = 0
+    for _ in range(50):
+        pairs = [MPair(rng.choice(FIELD_VECTORS), rng.choice(FIELD_VECTORS)) for _ in range(12)]
+        zeros = []
+        for (i, a), (j, b) in combinations(enumerate(pairs, start=1), 2):
+            value = overlap2_closed_form(a, b)
+            assert value == oracle.closed_form(a, b), (a, b)
+            if not value:
+                zeros.append((i, j))
+        assert MPair.orthogonal_pairs(pairs) == zeros
+        orthogonal += len(zeros)
+    assert orthogonal
 
 
 def key_values(key: tuple[int, ...]) -> tuple[ExactComplex, ...]:

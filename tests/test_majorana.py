@@ -292,7 +292,7 @@ def test_exact_and_float_pairs_are_not_compared():
         with pytest.raises(ValueError, match="exact M-pair with a float M-pair"):
             overlap2_closed_form(a, b)
         with pytest.raises(ValueError, match="exact M-pair with a float M-pair"):
-            a.orthogonal_to(b)
+            MPair.orthogonal_pairs([a, b])
 
 
 def test_pair_with_one_float_vector_is_a_float_pair():
@@ -302,7 +302,10 @@ def test_pair_with_one_float_vector_is_a_float_pair():
     for other in (same, half):
         value = overlap2_closed_form(half, other)
         assert type(value) is float and value == pytest.approx(1.0)
-    assert not half.orthogonal_to(same)
+    x_axis = MPair(MVector(1.0, 0.0, 0.0), MVector(-1, 0, 0))
+    y_axis = MPair(MVector(0.0, 1.0, 0.0), MVector(0, -1, 0))
+    assert overlap2_closed_form(x_axis, y_axis) == 0
+    assert MPair.orthogonal_pairs([half, same, x_axis, y_axis]) == [(3, 4)]
 
 
 def unit_dot_formula(pa, pb):

@@ -173,6 +173,25 @@ def test_build_graph_requires_33_entries():
         build_graph(peres_rays()[:10])
 
 
+def test_build_graph_rejects_a_catalog_of_exact_and_float_entries():
+    rays = peres_rays()
+    rays[4] = Ray(tuple(map(complex, rays[4].components)))
+    with pytest.raises(ValueError, match="exact ray with a float ray"):
+        build_graph(rays)
+    pairs = penrose_mpairs()
+    pairs[4] = MPair(MVector(0.0, 0.0, 1.0), pairs[4].second)
+    with pytest.raises(ValueError, match="exact M-pair with a float M-pair"):
+        build_graph(pairs)
+
+
+def test_build_graph_rejects_an_mpair_norm_product_outside_the_field():
+    # norm 3 against the catalog's norms 1 and 2: sqrt(3) and sqrt(6) are not in Q(sqrt2)
+    pairs = penrose_mpairs()
+    pairs[32] = MPair(MVector(1, 1, 1), pairs[32].second)
+    with pytest.raises(ValueError, match="not in Q\\(sqrt2\\)"):
+        build_graph(pairs)
+
+
 def test_induced_permutation_body_diagonal():
     perm = permutation(ROTATION_111, peres_rays())
     assert perm[1] == 2 and perm[2] == 3 and perm[3] == 1

@@ -158,9 +158,16 @@ def oracle_overlap2(a, b):
 
 
 def test_float_overlap2_is_bit_identical_to_the_per_pair_norm_oracle():
+    # generic family points, and 33 random rays in which each even position
+    # holds a ray within about DEFAULT_TOL of orthogonal to the one before
     rng = Random(4099)
-    for _ in range(5):
-        rays = generic_family(rng)
+    catalogs = [generic_family(rng) for _ in range(5)]
+    near = []
+    for _ in range(17):
+        near.append(random_float_ray(rng))
+        near.append(near_orthogonal_ray(near[-1], rng))
+    catalogs.append(near[:33])
+    for rays in catalogs:
         oracle_edges = set()
         for (i, a), (j, b) in combinations(enumerate(rays, start=1), 2):
             value = oracle_overlap2(a, b)
@@ -168,6 +175,7 @@ def test_float_overlap2_is_bit_identical_to_the_per_pair_norm_oracle():
             if value < DEFAULT_TOL * DEFAULT_TOL:
                 oracle_edges.add((i, j))
         assert build_graph(rays).edges == oracle_edges
+    assert {(i, i + 1) in oracle_edges for i in range(1, 33, 2)} == {True, False}
     for _ in range(200):
         a, b = random_float_ray(rng), random_float_ray(rng)
         assert overlap2(a, b) == oracle_overlap2(a, b)
@@ -210,6 +218,24 @@ def test_float_is_orthogonal_value_is_bit_identical_to_overlap2(monkeypatch):
         for tol in (math.nextafter(root, 0), root, math.nextafter(root, 1)):
             monkeypatch.setattr(bks33.rays, "DEFAULT_TOL", tol)
             assert is_orthogonal(a, b) == (value < tol * tol)
+
+
+def test_build_graph_splits_pairs_like_overlap2_at_an_ulp_placed_cutoff(monkeypatch):
+    # test_float_is_orthogonal_value_is_bit_identical_to_overlap2 on whole
+    # catalogs: with the cutoff squared within an ulp or two of one pair's
+    # overlap2, the graph holds exactly the pairs whose overlap2 is below it
+    rng = Random(4097)
+    for rays in (generic_family(rng), [random_float_ray(rng) for _ in range(33)]):
+        values = {
+            (i, j): overlap2(a, b)
+            for (i, a), (j, b) in combinations(enumerate(rays, start=1), 2)
+        }
+        for value in rng.sample(sorted(values.values()), 10):
+            root = math.sqrt(value)
+            for tol in (math.nextafter(root, 0), root, math.nextafter(root, 1)):
+                monkeypatch.setattr(bks33.rays, "DEFAULT_TOL", tol)
+                want = {pair for pair, v in values.items() if v < tol * tol}
+                assert build_graph(rays).edges == want
 
 
 @given(exact_rays)
