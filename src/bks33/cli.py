@@ -151,19 +151,6 @@ def _diagram_checks(report: Report, graph: orthograph.OrthoGraph) -> None:
     report.add("matches_reference_table", decomposition == reference)
 
 
-def _symmetry_check(
-    report: Report, catalog: orthograph.Catalog, graph: orthograph.OrthoGraph
-) -> None:
-    symmetry = kscolor.verify_symmetry_reduction(catalog, graph)
-    report.add(
-        "symmetry_reduction",
-        symmetry.passed,
-        pair_rotations=[{"pair": sorted(pair), "angle": angle}
-                        for pair, angle in symmetry.pair_rotations.items()],
-        failures=list(symmetry.failures),
-    )
-
-
 def cmd_verify(args) -> int:
     report = Report("verify", {"set": args.set, "seed": args.seed, "tol": DEFAULT_TOL})
     if args.set in ("peres", "penrose"):
@@ -182,7 +169,6 @@ def cmd_verify(args) -> int:
             overlap2=_qroot2_details(witness),
             magnitude_float=math.sqrt(float(witness)),
         )
-        _symmetry_check(report, entries, graph)
     else:
         rng = Random(args.seed)
         reference_edges = orthograph.reference_decomposition().edges()
@@ -222,7 +208,17 @@ def _trace_payload(trace: kscolor.ProofTrace) -> dict:
 
 def cmd_prove(args) -> int:
     report = Report("prove", {"mode": args.mode})
-    cs = orthograph.decompose(orthograph.reference_graph())
+    graph = orthograph.reference_graph()
+    symmetry = kscolor.symmetry_reduction(graph)
+    report.add(
+        "symmetry_reduction",
+        symmetry.passed,
+        automorphisms={"sigma": kscolor.SIGMA, "tau": kscolor.TAU},
+        pair_automorphisms=[{"pair": sorted(pair), "automorphism": name}
+                            for pair, name in symmetry.pair_automorphisms.items()],
+        failures=list(symmetry.failures),
+    )
+    cs = orthograph.decompose(graph)
     trace = kscolor.replay_proof(cs)
     report.add("replay_contradiction", trace.divergence is None, trace=_trace_payload(trace))
     result = kscolor.search(cs)
@@ -336,18 +332,10 @@ def cmd_majorana(args) -> int:
     )
 
     pairs = cat.penrose_mpairs()
-    reference_edges = orthograph.reference_decomposition().edges()
-    zeros = set()
-    positive_elsewhere = True
-    for (i, a), (j, b) in combinations(enumerate(pairs, start=1), 2):
-        value = majorana.overlap2_closed_form(a, b)
-        if value == 0:
-            zeros.add((i, j))
-        elif not value > 0:
-            positive_elsewhere = False
+    zeros, positive_elsewhere = majorana.catalog_sweep(pairs)
     report.add(
         "catalog_sweep_zero_pattern",
-        zeros == set(reference_edges) and positive_elsewhere,
+        set(zeros) == orthograph.reference_decomposition().edges() and positive_elsewhere,
         zero_count=len(zeros),
     )
 

@@ -26,16 +26,13 @@ from enum import Enum
 from typing import Iterable, NamedTuple, Union
 
 from .orthograph import (
+    CATALOG_SIZE,
     Catalog,
     ConstraintSet,
     IndexPermutation,
     OrthoGraph,
-    ROTATION_111,
-    X_QUARTER_TURN,
     decompose,
-    induced_permutation,
     is_automorphism,
-    key_index,
 )
 
 
@@ -272,15 +269,17 @@ KNOWN_DELETE1_GREENS = frozenset({2, 4, 8, 12, 14, 16, 19, 23, 27})
 def replay_proof(cs: ConstraintSet) -> ProofTrace:
     """Mechanically replay the two-choice, seven-green non-colorability proof.
 
-    Choice one colors ray 1 green (any other first pick maps to it under the
-    body-diagonal rotation); choice two colors the pair (10, 11) green (the
-    x-axis rotations map the alternative pairs to it).  Everything else is
-    forced.  The trace stops at the first documented fact that propagation
-    does not reproduce, and names it in ``divergence``.
+    Choice one colors ray 1 green (a power of SIGMA maps any other green of
+    triad (1, 2, 3) onto it); choice two colors the pair (10, 11) green
+    (powers of TAU fix ray 1 and map the alternative pairs onto it).
+    Everything else is forced; ``symmetry_reduction`` checks both
+    automorphisms on the diagram.  The trace stops at the first documented
+    fact that propagation does not reproduce, and names it in ``divergence``.
     """
     steps: list[Step] = []
 
-    steps.append(Choice((_PROOF_FIRST_GREEN,), "symmetry: rotation about the body diagonal"))
+    steps.append(Choice((_PROOF_FIRST_GREEN,),
+                        "symmetry: a power of sigma moves the green of triad (1, 2, 3) onto ray 1"))
     first = propagate((_PROOF_FIRST_GREEN,), (), cs)
     steps.extend(first.steps)
     if first.contradiction is not None:
@@ -292,7 +291,8 @@ def replay_proof(cs: ConstraintSet) -> ProofTrace:
             f"{sorted(first.reds)}, expected reds {sorted(_PROOF_FIRST_REDS)}"
         ))
 
-    steps.append(Choice(_PROOF_SECOND_GREENS, "symmetry: quarter/half turns about the x-axis"))
+    steps.append(Choice(_PROOF_SECOND_GREENS,
+                        "symmetry: powers of tau fix ray 1 and map the other pairs onto (10, 11)"))
     final = propagate(first.greens | set(_PROOF_SECOND_GREENS), first.reds, cs)
     steps.extend(final.steps)
 
@@ -315,13 +315,32 @@ ALTERNATIVE_SECOND_PAIRS: tuple[frozenset[int], ...] = (
     frozenset({10, 12}), frozenset({11, 13}), frozenset({12, 13}),
 )
 
+# Two automorphisms of the shared diagram, in cycle notation.  On
+# ``peres_rays()`` they are what the turn about the body diagonal and the
+# quarter turn about the x-axis induce; the proof needs only that they
+# preserve the diagram, since a coloring sees nothing else.
+SIGMA = ("(1 2 3)(4 6 9)(5 7 8)(10 17 19)(11 15 18)(12 16 21)(13 14 20)"
+         "(22 28 30)(23 29 32)(24 26 31)(25 27 33)")
+TAU = ("(2 3)(4 5)(6 8 7 9)(10 12 13 11)(14 21 15 20)(16 19 17 18)"
+       "(22 23 25 24)(26 33)(27 32 28 31)(29 30)")
+
+
+def from_cycles(cycles: str) -> IndexPermutation:
+    """The permutation of rays 1..33 written in cycle notation."""
+    perm = {v: v for v in range(1, CATALOG_SIZE + 1)}
+    for cycle in cycles[1:-1].split(")("):
+        rays = [int(r) for r in cycle.split()]
+        perm.update(zip(rays, rays[1:] + rays[:1]))
+    return perm
+
 
 @dataclass(frozen=True)
 class SymmetryReport:
     """Outcome of checking that the two proof choices lose no generality;
-    ``pair_rotations`` gives each alternative pair's x-axis angle, or None."""
+    ``pair_automorphisms`` names, for each alternative pair, the power of
+    TAU that maps it onto (10, 11), or None."""
 
-    pair_rotations: dict[frozenset[int], int | None]
+    pair_automorphisms: dict[frozenset[int], str | None]
     failures: tuple[str, ...]
 
     @property
@@ -329,47 +348,48 @@ class SymmetryReport:
         return not self.failures
 
 
-def verify_symmetry_reduction(catalog: Catalog, g: OrthoGraph) -> SymmetryReport:
-    """Check the symmetry claims behind the two-choice proof on the
-    catalog's graph ``g``.
+def symmetry_reduction(g: OrthoGraph) -> SymmetryReport:
+    """Check the symmetry claims behind the two-choice proof on the diagram ``g``.
 
-    Confirms that the body-diagonal rotation is a graph automorphism cycling
-    rays 1 -> 2 -> 3 -> 1, and that each alternative second-choice pair maps
-    onto (10, 11) under the first x-axis turn, by angle, whose permutation
-    is an automorphism fixing ray 1 (so it permutes ray 1's forced reds).
-    Only the quarter turn R is applied: if R e_i ~ e_pi(i), then
-    R^2 e_i ~ e_pi(pi(i)), so the half and three-quarter turns give pi^2, pi^3.
+    SIGMA must be an automorphism cycling rays 1 -> 2 -> 3 -> 1, so that a
+    power of it moves any green of triad (1, 2, 3) onto ray 1.  Each
+    alternative second-choice pair must map onto (10, 11) under the first of
+    TAU, TAU^2 and TAU^3 that is an automorphism fixing ray 1, so that it
+    permutes ray 1's forced reds.
     """
     failures: list[str] = []
-
-    index = key_index(catalog)
-    perm111 = induced_permutation(ROTATION_111, catalog, index)
-    if not is_automorphism(perm111, g):
-        failures.append("body-diagonal permutation is not an automorphism")
-    if not (perm111[1] == 2 and perm111[2] == 3 and perm111[3] == 1):
-        failures.append("body-diagonal rotation does not cycle rays 1, 2, 3")
+    sigma = from_cycles(SIGMA)
+    if not is_automorphism(sigma, g):
+        failures.append("sigma is not an automorphism")
+    if not (sigma[1] == 2 and sigma[2] == 3 and sigma[3] == 1):
+        failures.append("sigma does not cycle rays 1, 2, 3")
 
     first, second = _PROOF_FIRST_GREEN, frozenset(_PROOF_SECOND_GREENS)
-    quarter = induced_permutation(X_QUARTER_TURN, catalog, index)
-    perm = {i: i for i in quarter}
-    automorphisms: dict[int, IndexPermutation] = {}
-    for angle in (90, 180, 270):
-        perm = {i: quarter[j] for i, j in perm.items()}
-        if is_automorphism(perm, g):
-            automorphisms[angle] = perm
+    tau = from_cycles(TAU)
+    power = {v: v for v in tau}
+    automorphisms: dict[str, IndexPermutation] = {}
+    for name in ("tau", "tau^2", "tau^3"):
+        power = {v: tau[w] for v, w in power.items()}
+        if is_automorphism(power, g):
+            automorphisms[name] = power
         else:
-            failures.append(f"x-axis {angle} degree permutation is not an automorphism")
+            failures.append(f"{name} is not an automorphism")
 
-    pair_rotations: dict[frozenset[int], int | None] = dict.fromkeys(ALTERNATIVE_SECOND_PAIRS)
+    pair_automorphisms: dict[frozenset[int], str | None] = dict.fromkeys(ALTERNATIVE_SECOND_PAIRS)
     for pair in ALTERNATIVE_SECOND_PAIRS:
-        for angle, perm in automorphisms.items():
+        for name, perm in automorphisms.items():
             if perm[first] == first and frozenset(perm[m] for m in pair) == second:
-                pair_rotations[pair] = angle
+                pair_automorphisms[pair] = name
                 break
         else:
-            failures.append(f"no x-axis rotation maps {sorted(pair)} onto {_PROOF_SECOND_GREENS}")
+            failures.append(f"no power of tau maps {sorted(pair)} onto {_PROOF_SECOND_GREENS}")
 
-    return SymmetryReport(pair_rotations, tuple(failures))
+    return SymmetryReport(pair_automorphisms, tuple(failures))
+
+
+def verify_symmetry_reduction(catalog: Catalog, g: OrthoGraph) -> SymmetryReport:
+    """``symmetry_reduction(g)``; ``perfbench/`` is its only caller."""
+    return symmetry_reduction(g)
 
 
 def coloring_without(g: OrthoGraph, ray: int) -> frozenset[int] | None:

@@ -65,21 +65,6 @@ class MVector:
         r = math.sqrt(float(self.norm2))
         return (float(self.x) / r, float(self.y) / r, float(self.z) / r)
 
-    def key(self) -> tuple[int, int, int]:
-        """Primitive integer direction; keeps the sign, since M-vectors are
-        directions, not rays.  Exact vectors only."""
-        if not self.is_exact:
-            raise ValueError("only exact M-vectors have a canonical key")
-        g = math.gcd(self.x, self.y, self.z)
-        return (self.x // g, self.y // g, self.z // g)
-
-    def rotated(self, m: tuple[tuple[int, int, int], ...]) -> MVector:
-        """Image under a signed permutation matrix (an integer rotation)."""
-        v = (self.x, self.y, self.z)
-        return MVector(*(
-            v[j] if row[j] > 0 else -v[j] for row in m for j in range(3) if row[j]
-        ))
-
 
 def _root(n: int) -> tuple[int, int]:
     """sqrt(n) as (u, v), meaning u + v*sqrt2, for an int n = s^2 or 2*s^2."""
@@ -96,7 +81,7 @@ def _root(n: int) -> tuple[int, int]:
 @dataclass(frozen=True)
 class MPair:
     """Pair of M-vectors labeling one spin-1 ray; the order carries no meaning,
-    so compare with ``key()`` (exact) or ``mpairs_match`` (tolerance)."""
+    so compare with ``mpairs_match``."""
 
     first: MVector
     second: MVector
@@ -104,13 +89,6 @@ class MPair:
     @property
     def is_exact(self) -> bool:
         return self.first.is_exact and self.second.is_exact
-
-    def key(self) -> tuple[tuple[int, int, int], ...]:
-        """Sorted keys of the two M-vectors: an unordered, exact-only key."""
-        return tuple(sorted((self.first.key(), self.second.key())))
-
-    def rotated(self, m: tuple[tuple[int, int, int], ...]) -> MPair:
-        return MPair(self.first.rotated(m), self.second.rotated(m))
 
     @classmethod
     def orthogonal_pairs(cls, pairs: Sequence[MPair]) -> list[tuple[int, int]]:
@@ -232,6 +210,20 @@ def _closed_form_ints(pairs: Sequence[MPair]) -> Iterator[tuple[int, ...]]:
                 3 * r1 + 2 * cross1 + side1,
                 9 * r0 + 3 * side0 + da * db, 9 * r1 + 3 * side1,
             )
+
+
+def catalog_sweep(pairs: Sequence[MPair]) -> tuple[list[tuple[int, int]], bool]:
+    """The pairs (i, j), i < j, of the exact ``pairs`` whose closed-form
+    overlap X / Y is zero, and whether it is positive on every other pair:
+    one pass of ``_closed_form_ints``.  Zero iff X = 0; positive iff X and Y
+    have the same nonzero sign."""
+    zeros, positive = [], True
+    for i, j, x0, x1, y0, y1 in _closed_form_ints(pairs):
+        if not (x0 or x1):
+            zeros.append((i, j))
+        elif QRoot2(x0, x1).sign() != QRoot2(y0, y1).sign():
+            positive = False
+    return zeros, positive
 
 
 def overlap2_closed_form(pa: MPair, pb: MPair) -> RealScalar:

@@ -1,23 +1,18 @@
-"""Orthogonality graphs, triad/dyad decomposition, and rotation-induced permutations."""
+"""Orthogonality graphs, triad/dyad decomposition, and graph automorphisms."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 Edge = tuple[int, int]
 IndexPermutation = dict[int, int]
-RotationMatrix = tuple[tuple[int, int, int], ...]
 
 CATALOG_SIZE = 33
 
 
 class AmbiguousDecompositionError(ValueError):
     """Raised when an edge lies in two distinct triangles."""
-
-
-class NotClosedError(ValueError):
-    """Raised when a rotation does not map a catalog onto itself."""
 
 
 def _edge(u: int, v: int) -> Edge:
@@ -69,12 +64,6 @@ class ConstraintSet:
 
 class Entry(Protocol):
     """A catalog entry: a ``Ray`` or an ``MPair``."""
-
-    def key(self) -> Hashable:
-        """Canonical form, equal for entries naming the same ray."""
-
-    def rotated(self, m: RotationMatrix) -> Entry:
-        """Image under an integer rotation matrix."""
 
     @classmethod
     def orthogonal_pairs(cls, entries: Sequence[Entry]) -> list[Edge]:
@@ -154,42 +143,9 @@ def reference_graph() -> OrthoGraph:
     return OrthoGraph(d.vertices, d.edges())
 
 
-#: 120-degree rotation about the (1,1,1) axis: x -> y -> z -> x.
-ROTATION_111: RotationMatrix = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
-
-#: 90-degree rotation about the x-axis: y -> z -> -y.
-X_QUARTER_TURN: RotationMatrix = ((1, 0, 0), (0, 0, -1), (0, 1, 0))
-
-
-def key_index(catalog: Catalog) -> dict[Hashable, int]:
-    """Each entry's canonical key, exact entries only, to its 1-based position."""
-    return {entry.key(): j for j, entry in enumerate(catalog, start=1)}
-
-
-def induced_permutation(rotation: RotationMatrix, catalog: Catalog,
-                        index: dict[Hashable, int]) -> IndexPermutation:
-    """Permutation pi with rotation * catalog[i] naming catalog[pi(i)].
-
-    Entries are matched by canonical key: ``index`` is ``key_index(catalog)``,
-    derived once by a caller that applies several rotations to the catalog.
-    The matrix is not checked: callers pass ROTATION_111 or X_QUARTER_TURN.
-    Raises NotClosedError if the rotation does not map the catalog onto
-    itself, which includes a catalog that holds one entry twice.
-    """
-    perm: IndexPermutation = {}
-    for i, entry in enumerate(catalog, start=1):
-        image = index.get(entry.rotated(rotation).key())
-        if image is None:
-            raise NotClosedError(f"rotation image of entry {i} is not in the catalog")
-        perm[i] = image
-    if len(set(perm.values())) != len(perm):
-        raise NotClosedError("rotation does not permute the catalog")
-    return perm
-
-
 def _pairs_same(p: Entry, q: Entry) -> bool:
     # Unused here; perfbench/bench_trace.py counts calls to it by name.
-    return p.key() == q.key()
+    return p == q
 
 
 def is_automorphism(perm: IndexPermutation, g: OrthoGraph) -> bool:

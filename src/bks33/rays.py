@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -50,42 +49,8 @@ class Ray:
         (p + q*sqrt2) + i*(r + s*sqrt2), after one positive integer rescaling
         that clears every denominator."""
         if not self.is_exact:
-            raise ValueError("only exact rays have an integer form and a canonical key")
+            raise ValueError("only exact rays have an integer form")
         return integer_parts(self.components)
-
-    def key(self) -> tuple[int, ...]:
-        """Canonical projective form: the ray scaled so its first nonzero
-        component is 1, written as the (p, q, r, s) of each component over
-        one positive denominator: 13 ints with gcd 1.  Exact rays only.
-
-        With that component lead and |lead|^2 = n0 + n1*sqrt2, every component
-        is multiplied by conj(lead) * (n0 - n1*sqrt2), which turns lead into
-        the positive integer n0^2 - 2*n1^2, the denominator.
-        """
-        parts = self.parts
-        p, q, r, s = next(c for c in parts if any(c))
-        n0, n1 = p * p + 2 * q * q + r * r + 2 * s * s, 2 * (p * q + r * s)
-        # (a + b*sqrt2) + i*(c + d*sqrt2) = conj(lead) * (n0 - n1*sqrt2)
-        a, b = p * n0 - 2 * q * n1, q * n0 - p * n1
-        c, d = 2 * s * n1 - r * n0, r * n1 - s * n0
-        out = []
-        for x, y, u, v in parts:
-            out += (
-                x * a + 2 * y * b - u * c - 2 * v * d, x * b + y * a - u * d - v * c,
-                x * c + 2 * y * d + u * a + 2 * v * b, x * d + y * c + u * b + v * a,
-            )
-        out.append(n0 * n0 - 2 * n1 * n1)
-        g = math.gcd(*out)
-        # from a list: a tuple grown from a generator is resized, and the
-        # interpreter keeps up to 2,000 freed tuples of each size, ~0.3 MB here
-        return tuple([n // g for n in out])
-
-    def rotated(self, m: tuple[tuple[int, int, int], ...]) -> Ray:
-        """Image under a signed permutation matrix (an integer rotation)."""
-        v = self.components
-        return Ray(tuple(
-            v[j] if row[j] > 0 else -v[j] for row in m for j in range(3) if row[j]
-        ))
 
     @classmethod
     def orthogonal_pairs(cls, rays: Sequence[Ray]) -> list[tuple[int, int]]:

@@ -1,17 +1,24 @@
 """Generic exact arithmetic in ``QRoot2`` and ``ExactComplex``, as a test oracle.
 
-The package decides exact orthogonality and computes ray keys with integer
-kernels.  This module spells out the same quantities with the generic field
-operations, term by term as the formulas read:
+The package decides exact orthogonality with integer kernels.  This module
+spells out the same quantities with the generic field operations, term by
+term as the formulas read:
 
 * ``inner``: the Hermitian inner product summed in ``ExactComplex``;
-* ``key``: each component divided by the first nonzero one;
 * ``unit_dot``: the cosine of two integer M-vectors, d / sqrt(N) with d the
   integer dot and N the integer norm product, whose root is taken in
   Q(sqrt2); ``closed_form``: the Majorana closed form over six of them.
 
-``X_AXIS_TURNS`` writes out the three proper turns about the x-axis, which
-the package derives from its quarter turn alone.
+It also holds the geometry behind the proof's two written-out diagram
+automorphisms, ``kscolor.SIGMA`` and ``kscolor.TAU``:
+
+* ``ROTATION_111``, the turn about the body diagonal, and ``X_AXIS_TURNS``,
+  the three proper turns about the x-axis;
+* ``key``: a ray scaled so its first nonzero component is 1; ``direction``:
+  an integer M-vector's primitive direction, sign kept;
+* ``induced_permutation``: the permutation of a catalog's entries that a
+  turn induces, matching rays by ``key`` and M-pairs by their sorted
+  directions.
 """
 
 from __future__ import annotations
@@ -21,6 +28,9 @@ import math
 from bks33.majorana import MPair, MVector
 from bks33.rays import Ray
 from bks33.scalar import ExactComplex, QRoot2
+
+#: 120-degree turn about the (1, 1, 1) axis: x -> y -> z -> x.
+ROTATION_111 = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
 
 X_AXIS_TURNS: dict[int, tuple[tuple[int, int, int], ...]] = {
     90: ((1, 0, 0), (0, 0, -1), (0, 1, 0)),
@@ -39,6 +49,39 @@ def inner(a: Ray, b: Ray) -> ExactComplex:
 def key(ray: Ray) -> tuple[ExactComplex, ...]:
     lead = next(c for c in ray.components if c)
     return tuple(c / lead for c in ray.components)
+
+
+def direction(v: MVector) -> tuple[int, int, int]:
+    g = math.gcd(v.x, v.y, v.z)
+    return (v.x // g, v.y // g, v.z // g)
+
+
+def _entry_key(entry: Ray | MPair) -> tuple:
+    if isinstance(entry, MPair):
+        return tuple(sorted((direction(entry.first), direction(entry.second))))
+    return key(entry)
+
+
+def _apply(m: tuple[tuple[int, int, int], ...], v: tuple) -> tuple:
+    return tuple(v[0] * row[0] + v[1] * row[1] + v[2] * row[2] for row in m)
+
+
+def _rotated(m: tuple[tuple[int, int, int], ...], entry: Ray | MPair) -> Ray | MPair:
+    if isinstance(entry, MPair):
+        return MPair(*(MVector(*_apply(m, (v.x, v.y, v.z))) for v in (entry.first, entry.second)))
+    return Ray(_apply(m, entry.components))
+
+
+def induced_permutation(m: tuple[tuple[int, int, int], ...],
+                        catalog: list[Ray] | list[MPair]) -> dict[int, int]:
+    """pi with m * catalog[i] naming catalog[pi(i)], 1-based.  KeyError where
+    an image is not in the catalog; ValueError where two entries have one
+    image, as in a catalog that names one ray twice."""
+    index = {_entry_key(entry): j for j, entry in enumerate(catalog, start=1)}
+    perm = {i: index[_entry_key(_rotated(m, entry))] for i, entry in enumerate(catalog, start=1)}
+    if len(set(perm.values())) != len(perm):
+        raise ValueError("the turn does not permute the catalog")
+    return perm
 
 
 def field_sqrt(n: int) -> QRoot2:

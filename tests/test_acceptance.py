@@ -8,7 +8,7 @@ from itertools import combinations
 from random import Random
 
 from dimacs_oracle import clause_satisfied, dpll, parse_dimacs
-from exact_oracle import X_AXIS_TURNS
+from exact_oracle import ROTATION_111, X_AXIS_TURNS, induced_permutation
 
 from bks33 import cli
 from bks33.catalog import (
@@ -25,8 +25,8 @@ from bks33.kscolor import (
     criticality_audit,
     replay_proof,
     search,
+    symmetry_reduction,
     validate_coloring,
-    verify_symmetry_reduction,
 )
 from bks33.majorana import (
     MPair,
@@ -38,12 +38,9 @@ from bks33.majorana import (
     state_from_mpair,
 )
 from bks33.orthograph import (
-    ROTATION_111,
     build_graph,
     decompose,
-    induced_permutation,
     is_automorphism,
-    key_index,
     reference_decomposition,
     reference_graph,
 )
@@ -164,32 +161,32 @@ def test_criterion_4_symmetry_verification():
     # The shared numbering aligns the two orthogonality graphs, not the two
     # geometries, so the catalogs need not induce elementwise-identical
     # permutations (see test_catalog_geometries_induce_different_permutations).
-    # What both proofs share is the symmetry reduction itself: each catalog's
-    # rotations are automorphisms, and both realise the two "without loss of
-    # generality" choices by the same turns.
-    real_catalog = peres_rays()
-    pair_catalog = penrose_mpairs()
-    real_index, pair_index = key_index(real_catalog), key_index(pair_catalog)
+    # What both proofs share is the symmetry reduction itself: the diagram
+    # check passes, each catalog's turns (tests/exact_oracle.py) are
+    # automorphisms, and both realise the two "without loss of generality"
+    # choices by the same turns, the ones the check names as powers of tau.
     graph = reference_graph()
+    report = symmetry_reduction(graph)
+    mapping_ok = report.passed
 
     rotations = [ROTATION_111] + [X_AXIS_TURNS[a] for a in (90, 180, 270)]
     autos_ok = True
-    same_half_turn = both_cycle = False
-    for rotation in rotations:
-        real_perm = induced_permutation(rotation, real_catalog, real_index)
-        pair_perm = induced_permutation(rotation, pair_catalog, pair_index)
-        autos_ok = autos_ok and is_automorphism(real_perm, graph)
-        autos_ok = autos_ok and is_automorphism(pair_perm, graph)
-        if rotation is ROTATION_111:
-            both_cycle = all(p[1] == 2 and p[2] == 3 and p[3] == 1 for p in (real_perm, pair_perm))
-        if rotation is X_AXIS_TURNS[180]:
-            same_half_turn = real_perm == pair_perm
-
-    report = verify_symmetry_reduction(real_catalog, graph)
-    pair_report = verify_symmetry_reduction(pair_catalog, graph)
-    mapping_ok = report.passed and pair_report.passed
-
-    same_turns = report.pair_rotations == pair_report.pair_rotations
+    both_cycle = True
+    half_turns, pair_turns = [], []
+    for catalog in (peres_rays(), penrose_mpairs()):
+        perms = [induced_permutation(rotation, catalog) for rotation in rotations]
+        autos_ok = autos_ok and all(is_automorphism(p, graph) for p in perms)
+        both_cycle = both_cycle and perms[0][1] == 2 and perms[0][2] == 3 and perms[0][3] == 1
+        half_turns.append(perms[2])
+        pair_turns.append({
+            frozenset(pair): next((90 * k for k, p in enumerate(perms[1:], start=1)
+                                   if p[1] == 1 and {p[m] for m in pair} == {10, 11}), None)
+            for pair in report.pair_automorphisms
+        })
+    same_half_turn = half_turns[0] == half_turns[1]
+    angle = {"tau": 90, "tau^2": 180, "tau^3": 270}
+    tau_turns = {pair: angle.get(name) for pair, name in report.pair_automorphisms.items()}
+    same_turns = pair_turns[0] == pair_turns[1] == tau_turns
     check(
         4,
         "symmetry verification (automorphisms, alternative pairs map onto "

@@ -7,7 +7,7 @@ import math
 import pytest
 from dimacs_oracle import clause_satisfied, dpll, parse_dimacs
 
-from bks33 import cli, orthograph
+from bks33 import catalog, cli, kscolor, orthograph
 from bks33.kscolor import criticality_audit, validate_coloring
 from bks33.orthograph import OrthoGraph, decompose, reference_graph
 
@@ -108,17 +108,19 @@ def test_verify_penrose_report(capsys):
 
 @pytest.mark.parametrize("name", ["peres", "penrose"])
 def test_verify_reports_symmetry_reduction(capsys, name):
+    # verify decides catalog -> diagram and leaves the symmetry check to prove;
+    # the check holds on the catalog's own diagram by the same turns as before
     code, out = run(capsys, "verify", "--set", name, "--json")
     assert code == 0
-    check = {c["name"]: c for c in json.loads(out)["checks"]}["symmetry_reduction"]
-    assert check["passed"] is True
-    assert check["details"] == {
-        "failures": [],
-        "pair_rotations": [
-            {"pair": [10, 12], "angle": 270},
-            {"pair": [11, 13], "angle": 90},
-            {"pair": [12, 13], "angle": 180},
-        ],
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["matches_reference_table"]["passed"] is True
+    assert "symmetry_reduction" not in checks
+    load = {"peres": catalog.peres_rays, "penrose": catalog.penrose_mpairs}[name]
+    symmetry = kscolor.symmetry_reduction(orthograph.build_graph(load()))
+    assert symmetry.failures == ()
+    # tau^3, tau and tau^2 are the 270, 90 and 180 degree x-axis turns
+    assert {tuple(sorted(p)): a for p, a in symmetry.pair_automorphisms.items()} == {
+        (10, 12): "tau^3", (11, 13): "tau", (12, 13): "tau^2",
     }
 
 
@@ -147,6 +149,24 @@ def test_prove_both_modes_agree(capsys):
     assert names["search_unsat"]["details"]["nodes"] > 0
 
 
+def test_prove_reports_symmetry_reduction(capsys):
+    code, out = run(capsys, "prove", "--json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    # checked on the diagram before the replay that cites it
+    assert [c["name"] for c in checks][0] == "symmetry_reduction"
+    assert checks[0]["passed"] is True
+    assert checks[0]["details"] == {
+        "automorphisms": {"sigma": kscolor.SIGMA, "tau": kscolor.TAU},
+        "failures": [],
+        "pair_automorphisms": [
+            {"pair": [10, 12], "automorphism": "tau^3"},
+            {"pair": [11, 13], "automorphism": "tau"},
+            {"pair": [12, 13], "automorphism": "tau^2"},
+        ],
+    }
+
+
 def test_prove_reports_a_diverging_replay(capsys, monkeypatch):
     # without the dyad (10, 24) the documented chain breaks and a coloring exists
     full = reference_graph()
@@ -156,8 +176,16 @@ def test_prove_reports_a_diverging_replay(capsys, monkeypatch):
     assert code == 1
     report = json.loads(out)
     assert report["passed"] is False
-    assert [c["name"] for c in report["checks"]] == ["replay_contradiction", "search_unsat"]
+    assert [c["name"] for c in report["checks"]] == [
+        "symmetry_reduction", "replay_contradiction", "search_unsat",
+    ]
     names = {c["name"]: c for c in report["checks"]}
+    # the missing dyad breaks every written-out automorphism, and each is named
+    assert names["symmetry_reduction"]["passed"] is False
+    assert names["symmetry_reduction"]["details"]["failures"][:4] == [
+        "sigma is not an automorphism", "tau is not an automorphism",
+        "tau^2 is not an automorphism", "tau^3 is not an automorphism",
+    ]
     assert names["replay_contradiction"]["passed"] is False
     assert names["replay_contradiction"]["details"]["trace"]["divergence"]
     assert names["search_unsat"]["passed"] is False

@@ -4,8 +4,9 @@
 ``overlap2_closed_form`` on exact M-pairs the oracle's value, on every pair
 of each catalog; the pair kernels ``Ray.orthogonal_pairs`` and
 ``MPair.orthogonal_pairs``, and ``build_graph`` through them, must find the
-pairs the oracle finds orthogonal.  ``Ray.key`` must be the oracle's key,
-written over one denominator, and so unchanged under rescaling by Q(sqrt2, i).
+pairs the oracle finds orthogonal.  The oracle's own ray key, which the
+geometric tests match rays by, must be unchanged under rescaling by
+Q(sqrt2, i).
 """
 
 import math
@@ -134,34 +135,12 @@ def test_mpair_verdicts_match_the_generic_closed_form_on_random_pairs():
     assert orthogonal
 
 
-def key_values(key: tuple[int, ...]) -> tuple[ExactComplex, ...]:
-    """The three components a key encodes: 12 numerators over one denominator."""
-    *nums, den = key
-    return tuple(
-        ExactComplex(QRoot2(p, q) / den, QRoot2(r, s) / den)
-        for p, q, r, s in (nums[0:4], nums[4:8], nums[8:12])
-    )
-
-
-def catalogs_with_keys():
-    yield "peres", peres_rays()
-    yield "penrose_from_family", penrose_from_family()
-    for params in QUARTER_TURNS:
-        yield repr(params), family_rays(params)
-
-
-def test_keys_are_the_oracle_keys_and_distinct():
-    for name, rays in catalogs_with_keys():
-        keys = [r.key() for r in rays]
-        for ray, key in zip(rays, keys):
-            assert len(key) == 13 and all(type(n) is int for n in key), name
-            assert key[-1] > 0 and math.gcd(*key) == 1, name
-            assert key_values(key) == oracle.key(ray), (name, ray.index)
-        assert len(set(keys)) == 33, name
-
-
 @pytest.mark.parametrize("factor", FACTORS + (ExactComplex(-1), ExactComplex(QRoot2(3, -2), 5) / 4))
 def test_key_is_invariant_under_rescaling(factor):
+    # the oracle's key, by which the geometric tests match rays: projective,
+    # and distinct for the 33 rays of each catalog
     for rays in (peres_rays(), penrose_from_family(), family_rays(QUARTER_TURNS[27])):
-        for r in rays:
-            assert Ray(tuple(factor * c for c in r.components)).key() == r.key()
+        keys = [oracle.key(r) for r in rays]
+        assert len(set(keys)) == 33
+        for r, key in zip(rays, keys):
+            assert oracle.key(Ray(tuple(factor * c for c in r.components))) == key

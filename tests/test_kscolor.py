@@ -5,11 +5,14 @@ from itertools import combinations
 from random import Random
 
 import pytest
-from exact_oracle import X_AXIS_TURNS
+from automorphism_oracle import automorphisms
+from exact_oracle import ROTATION_111, X_AXIS_TURNS, induced_permutation
 
-from bks33.catalog import penrose_mpairs, peres_rays
+from bks33.catalog import FamilyParams, class_of, family_rays, penrose_mpairs, peres_rays
 from bks33.kscolor import (
     ALTERNATIVE_SECOND_PAIRS,
+    SIGMA,
+    TAU,
     Choice,
     Color,
     ConstraintSet,
@@ -17,20 +20,19 @@ from bks33.kscolor import (
     Forced,
     KNOWN_DELETE1_GREENS,
     criticality_audit,
+    from_cycles,
     propagate,
     replay_proof,
     search,
+    symmetry_reduction,
     validate_coloring,
     verify_symmetry_reduction,
 )
 from bks33 import kscolor, orthograph
 from bks33.orthograph import (
-    NotClosedError, OrthoGraph, build_graph, decompose, induced_permutation,
-    is_automorphism, key_index, reference_decomposition, reference_graph,
+    OrthoGraph, build_graph, decompose, is_automorphism, reference_decomposition,
+    reference_graph,
 )
-from bks33.majorana import MPair, MVector
-from bks33.rays import Ray
-from bks33.scalar import ExactComplex
 
 FULL = decompose(reference_graph())
 
@@ -302,41 +304,85 @@ def test_search_agrees_with_brute_force_on_synthetic_instances():
             assert validate_coloring(found, cs)
 
 
+def tau_powers() -> dict[str, dict[int, int]]:
+    tau = from_cycles(TAU)
+    square = {v: tau[tau[v]] for v in tau}
+    return {"tau": tau, "tau^2": square, "tau^3": {v: tau[square[v]] for v in tau}}
+
+
 def test_symmetry_reduction_per_catalog():
     for catalog in (peres_rays(), penrose_mpairs()):
-        report = verify_symmetry_reduction(catalog, build_graph(catalog))
+        report = symmetry_reduction(build_graph(catalog))
         assert report.passed, report.failures
-        assert set(report.pair_rotations) == set(ALTERNATIVE_SECOND_PAIRS)
-        assert None not in report.pair_rotations.values()
+        assert set(report.pair_automorphisms) == set(ALTERNATIVE_SECOND_PAIRS)
+        assert None not in report.pair_automorphisms.values()
+
+
+def test_symmetry_reduction_holds_on_a_generic_family_member():
+    # the check reads the diagram alone, so a float member passes too
+    report = symmetry_reduction(build_graph(family_rays(FamilyParams(0.7, 0.2, 1.1))))
+    assert report.passed, report.failures
+    assert verify_symmetry_reduction(peres_rays(), reference_graph()) == symmetry_reduction(
+        reference_graph()
+    )
 
 
 def test_symmetry_reduction_pair_angles_on_real_catalog():
-    report = verify_symmetry_reduction(peres_rays(), reference_graph())
-    assert report.pair_rotations[frozenset({10, 12})] == 270
-    assert report.pair_rotations[frozenset({13, 12})] == 180
-    assert report.pair_rotations[frozenset({11, 13})] == 90
+    report = symmetry_reduction(reference_graph())
+    assert report.pair_automorphisms == {
+        frozenset({10, 12}): "tau^3", frozenset({12, 13}): "tau^2", frozenset({11, 13}): "tau",
+    }
+    # on the real catalog tau^k is the turn by k quarter turns about the x-axis
+    for k, (name, perm) in enumerate(tau_powers().items(), start=1):
+        assert induced_permutation(X_AXIS_TURNS[90 * k], peres_rays()) == perm, name
 
 
-def test_symmetry_reduction_raises_on_a_catalog_no_turn_permutes():
-    graph = reference_graph()
-    rays = peres_rays()
-    broken = list(rays)
-    broken[1] = Ray(tuple(ExactComplex(v) for v in (1, 1, 1)), index=2)
-    pairs = penrose_mpairs()
-    for catalog in (broken, rays + [rays[0]], pairs + [pairs[0]]):
-        with pytest.raises(NotClosedError):
-            verify_symmetry_reduction(catalog, graph)
+def test_written_automorphisms_are_the_turns_on_the_real_catalog():
+    assert induced_permutation(ROTATION_111, peres_rays()) == from_cycles(SIGMA)
+    assert induced_permutation(X_AXIS_TURNS[90], peres_rays()) == from_cycles(TAU)
 
 
-def test_symmetry_reduction_rejects_a_float_catalog():
-    float_rays = [Ray(tuple(map(complex, r.components))) for r in peres_rays()]
-    float_pairs = [
-        MPair(MVector(*map(float, (p.first.x, p.first.y, p.first.z))), p.second)
-        for p in penrose_mpairs()
-    ]
-    for catalog in (float_rays, float_pairs):
-        with pytest.raises(ValueError, match="canonical key"):
-            verify_symmetry_reduction(catalog, reference_graph())
+def test_turns_on_the_complex_catalog_agree_with_them_where_the_proof_looks():
+    # sigma on rays 1, 2, 3 (the first choice), tau on ray 1 and 10-13 (the
+    # second); elsewhere the complex catalog's turns permute other rays
+    sigma, tau = from_cycles(SIGMA), from_cycles(TAU)
+    turn = induced_permutation(ROTATION_111, penrose_mpairs())
+    quarter = induced_permutation(X_AXIS_TURNS[90], penrose_mpairs())
+    assert {v for v in turn if turn[v] == sigma[v]} == {1, 2, 3, 4, 5, 26, 29, 30, 33}
+    assert {v for v in quarter if quarter[v] == tau[v]} == {
+        1, 2, 3, 4, 5, 10, 11, 12, 13, 22, 23, 24, 25, 27, 28, 31, 32,
+    }
+
+
+def test_automorphism_group_of_the_diagram():
+    g = reference_graph()
+    group = list(automorphisms(g))
+    assert len(group) == 48
+    assert len({tuple(sorted(a.items())) for a in group}) == 48
+    assert all(is_automorphism(a, g) for a in group)
+    # the orbits are the four ray classes
+    for v in g.vertices:
+        assert {class_of(a[v]) for a in group} == {class_of(v)}
+        assert len({a[v] for a in group}) == sum(class_of(u) == class_of(v) for u in g.vertices)
+    stabilizer = [a for a in group if a[1] == 1]
+    assert len(stabilizer) == 16
+    for pair in ({10, 12}, {12, 13}, {11, 13}):
+        assert any({a[m] for m in pair} == {10, 11} for a in stabilizer), pair
+    # sigma and tau lie in Aut(G) and generate a subgroup of order 24
+    generators = [from_cycles(SIGMA), from_cycles(TAU)]
+    keys = {tuple(sorted(a.items())) for a in group}
+    assert all(tuple(sorted(p.items())) in keys for p in generators)
+    identity = {v: v for v in g.vertices}
+    generated, frontier = {tuple(sorted(identity.items()))}, [identity]
+    while frontier:
+        p = frontier.pop()
+        for q in generators:
+            product = {v: q[p[v]] for v in p}
+            key = tuple(sorted(product.items()))
+            if key not in generated:
+                generated.add(key)
+                frontier.append(product)
+    assert len(generated) == 24
 
 
 def test_alternative_pairs_are_listed_in_sorted_pair_order():
@@ -348,47 +394,47 @@ def test_alternative_pairs_are_listed_in_sorted_pair_order():
 def test_symmetry_reduction_fails_on_a_broken_graph():
     graph = reference_graph()
     one_three = OrthoGraph(graph.vertices, graph.edges - {(1, 3)})
-    # Edge (2, 6) breaks all three x-axis turns, so no pair may name one.
+    # Edge (2, 6) breaks all three powers of tau, so no pair may name one.
     two_six = OrthoGraph(graph.vertices, graph.edges - {(2, 6)})
-    for catalog in (peres_rays(), penrose_mpairs()):
-        report = verify_symmetry_reduction(catalog, one_three)
-        assert report.passed is False
-        assert report.failures == (
-            "body-diagonal permutation is not an automorphism",
-            "x-axis 90 degree permutation is not an automorphism",
-            "x-axis 270 degree permutation is not an automorphism",
-            "no x-axis rotation maps [10, 12] onto (10, 11)",
-            "no x-axis rotation maps [11, 13] onto (10, 11)",
-        )
-        assert report.pair_rotations == {
-            frozenset({10, 12}): None, frozenset({12, 13}): 180, frozenset({11, 13}): None,
-        }
+    report = symmetry_reduction(one_three)
+    assert report.passed is False
+    assert report.failures == (
+        "sigma is not an automorphism",
+        "tau is not an automorphism",
+        "tau^3 is not an automorphism",
+        "no power of tau maps [10, 12] onto (10, 11)",
+        "no power of tau maps [11, 13] onto (10, 11)",
+    )
+    assert report.pair_automorphisms == {
+        frozenset({10, 12}): None, frozenset({12, 13}): "tau^2", frozenset({11, 13}): None,
+    }
 
-        report = verify_symmetry_reduction(catalog, two_six)
-        assert report.passed is False
-        assert report.failures == (
-            "body-diagonal permutation is not an automorphism",
-            "x-axis 90 degree permutation is not an automorphism",
-            "x-axis 180 degree permutation is not an automorphism",
-            "x-axis 270 degree permutation is not an automorphism",
-            "no x-axis rotation maps [10, 12] onto (10, 11)",
-            "no x-axis rotation maps [11, 13] onto (10, 11)",
-            "no x-axis rotation maps [12, 13] onto (10, 11)",
-        )
-        assert report.pair_rotations == dict.fromkeys(ALTERNATIVE_SECOND_PAIRS)
+    report = symmetry_reduction(two_six)
+    assert report.passed is False
+    assert report.failures == (
+        "sigma is not an automorphism",
+        "tau is not an automorphism",
+        "tau^2 is not an automorphism",
+        "tau^3 is not an automorphism",
+        "no power of tau maps [10, 12] onto (10, 11)",
+        "no power of tau maps [11, 13] onto (10, 11)",
+        "no power of tau maps [12, 13] onto (10, 11)",
+    )
+    assert report.pair_automorphisms == dict.fromkeys(ALTERNATIVE_SECOND_PAIRS)
 
 
 @pytest.mark.parametrize("catalog", [peres_rays(), penrose_mpairs()], ids=["peres", "penrose"])
 def test_symmetry_reduction_names_automorphisms_only(catalog):
-    graph = reference_graph()
+    graph = build_graph(catalog)
+    powers = tau_powers()
     for edge in sorted(graph.edges):
         broken = OrthoGraph(graph.vertices, graph.edges - {edge})
-        report = verify_symmetry_reduction(catalog, broken)
+        report = symmetry_reduction(broken)
         assert report.passed is False, edge
-        for angle in report.pair_rotations.values():
-            if angle is not None:
-                perm = induced_permutation(X_AXIS_TURNS[angle], catalog, key_index(catalog))
-                assert is_automorphism(perm, broken), (edge, angle)
+        assert "sigma is not an automorphism" in report.failures, edge
+        for name in report.pair_automorphisms.values():
+            if name is not None:
+                assert is_automorphism(powers[name], broken), (edge, name)
 
 
 def test_search_tree_is_pinned():

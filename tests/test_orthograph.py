@@ -6,21 +6,16 @@ from random import Random
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from exact_oracle import X_AXIS_TURNS
+from exact_oracle import ROTATION_111, X_AXIS_TURNS, direction, induced_permutation
 
 from bks33.catalog import FamilyParams, family_rays, penrose_mpairs, peres_rays
 from bks33.orthograph import (
     AmbiguousDecompositionError,
     ConstraintSet,
-    NotClosedError,
     OrthoGraph,
-    ROTATION_111,
-    X_QUARTER_TURN,
     build_graph,
     decompose,
-    induced_permutation,
     is_automorphism,
-    key_index,
     reference_decomposition,
     reference_graph,
 )
@@ -29,11 +24,6 @@ from bks33.rays import Ray
 from bks33.scalar import DEFAULT_TOL, ExactComplex, QRoot2
 
 ROTATIONS = (ROTATION_111, *X_AXIS_TURNS.values())
-
-
-def permutation(rotation, catalog):
-    """``induced_permutation`` with the catalog's own key index."""
-    return induced_permutation(rotation, catalog, key_index(catalog))
 
 
 def test_real_graph_has_72_edges_and_reference_decomposition():
@@ -193,25 +183,25 @@ def test_build_graph_rejects_an_mpair_norm_product_outside_the_field():
 
 
 def test_induced_permutation_body_diagonal():
-    perm = permutation(ROTATION_111, peres_rays())
+    perm = induced_permutation(ROTATION_111, peres_rays())
     assert perm[1] == 2 and perm[2] == 3 and perm[3] == 1
-    pairs_perm = permutation(ROTATION_111, penrose_mpairs())
+    pairs_perm = induced_permutation(ROTATION_111, penrose_mpairs())
     assert pairs_perm[1] == 2 and pairs_perm[2] == 3 and pairs_perm[3] == 1
 
 
 def test_induced_permutations_are_automorphisms():
     g = reference_graph()
     for catalog in (peres_rays(), penrose_mpairs()):
-        assert is_automorphism(permutation(ROTATION_111, catalog), g)
+        assert is_automorphism(induced_permutation(ROTATION_111, catalog), g)
         for rotation in X_AXIS_TURNS.values():
-            assert is_automorphism(permutation(rotation, catalog), g)
+            assert is_automorphism(induced_permutation(rotation, catalog), g)
 
 
 def test_x180_fixes_ray_1_and_matches_across_catalogs():
     rot = X_AXIS_TURNS[180]
-    real_perm = permutation(rot, peres_rays())
+    real_perm = induced_permutation(rot, peres_rays())
     assert real_perm[1] == 1
-    assert permutation(rot, penrose_mpairs()) == real_perm
+    assert induced_permutation(rot, penrose_mpairs()) == real_perm
 
 
 def test_catalog_geometries_induce_different_permutations():
@@ -219,8 +209,8 @@ def test_catalog_geometries_induce_different_permutations():
     # underlying geometry: ray 6 lies along (1,0,1) and rotates onto ray 9
     # = (1,1,0), while M-pair 6 = {+-(1,0,1)} rotates onto pair 8 =
     # {+-(1,1,0)}.  Both permutations are automorphisms of the same graph.
-    real_perm = permutation(ROTATION_111, peres_rays())
-    pair_perm = permutation(ROTATION_111, penrose_mpairs())
+    real_perm = induced_permutation(ROTATION_111, peres_rays())
+    pair_perm = induced_permutation(ROTATION_111, penrose_mpairs())
     assert real_perm[6] == 9
     assert pair_perm[6] == 8
     assert real_perm != pair_perm
@@ -228,8 +218,8 @@ def test_catalog_geometries_induce_different_permutations():
 
 def test_permutation_composition_and_inverse_stay_automorphisms():
     g = reference_graph()
-    p = permutation(ROTATION_111, peres_rays())
-    q = permutation(X_QUARTER_TURN, peres_rays())
+    p = induced_permutation(ROTATION_111, peres_rays())
+    q = induced_permutation(X_AXIS_TURNS[90], peres_rays())
     composed = {i: p[q[i]] for i in q}
     inverse = {v: k for k, v in p.items()}
     assert is_automorphism(composed, g)
@@ -246,11 +236,21 @@ def test_plain_transposition_is_not_an_automorphism():
 
 
 def test_not_closed_rotation_raises():
-    rays = peres_rays()
-    broken = list(rays)
+    # the oracle fails loudly where a turn leaves the catalog
+    broken = peres_rays()
     broken[1] = Ray(tuple(ExactComplex(v) for v in (1, 1, 1)), index=2)
-    with pytest.raises(NotClosedError):
-        permutation(ROTATION_111, broken)
+    with pytest.raises(KeyError):
+        induced_permutation(ROTATION_111, broken)
+
+
+def test_duplicated_entry_raises():
+    # ... and where two entries name one ray, so the images repeat
+    rays = peres_rays()
+    with pytest.raises(ValueError, match="does not permute"):
+        induced_permutation(ROTATION_111, rays + [rays[0]])
+    pairs = penrose_mpairs()
+    with pytest.raises(ValueError, match="does not permute"):
+        induced_permutation(ROTATION_111, pairs + [MPair(pairs[21].second, pairs[21].first)])
 
 
 def rescaled_catalogs() -> tuple[list[Ray], list[MPair]]:
@@ -276,51 +276,24 @@ def test_permutations_ignore_entry_rescaling():
     rays, pairs = peres_rays(), penrose_mpairs()
     scaled_rays, scaled_pairs = rescaled_catalogs()
     for rotation in ROTATIONS:
-        assert permutation(rotation, scaled_rays) == permutation(rotation, rays)
-        assert permutation(rotation, scaled_pairs) == permutation(rotation, pairs)
-
-
-def test_float_catalogs_have_no_keys():
-    with pytest.raises(ValueError):
-        float_rays = [Ray(tuple(map(complex, r.components))) for r in peres_rays()]
-        key_index(float_rays)
-    float_pairs = [
-        MPair(MVector(*map(float, (p.first.x, p.first.y, p.first.z))), p.second)
-        for p in penrose_mpairs()
-    ]
-    with pytest.raises(ValueError):
-        key_index(float_pairs)
-
-
-def test_key_index_maps_each_key_to_its_position():
-    for catalog in (peres_rays(), penrose_mpairs()):
-        index = key_index(catalog)
-        assert index == {entry.key(): j for j, entry in enumerate(catalog, start=1)}
-        assert sorted(index.values()) == list(range(1, 34))
-
-
-def test_duplicated_entry_raises():
-    rays = peres_rays()
-    with pytest.raises(NotClosedError):
-        permutation(ROTATION_111, rays + [rays[0]])
-    pairs = penrose_mpairs()
-    with pytest.raises(NotClosedError):
-        permutation(ROTATION_111, pairs + [MPair(pairs[21].second, pairs[21].first)])
+        assert induced_permutation(rotation, scaled_rays) == induced_permutation(rotation, rays)
+        assert induced_permutation(rotation, scaled_pairs) == induced_permutation(rotation, pairs)
 
 
 def test_mvector_keys_keep_sign_and_drop_scale():
-    assert MVector(0, -2, -2).key() == MVector(0, -1, -1).key() == (0, -1, -1)
-    assert MVector(0, -2, -2).key() != MVector(0, 1, 1).key()
+    # the oracle matches M-pairs by these directions: a vector and its
+    # negative are different directions, a vector and its multiple are not
+    assert direction(MVector(0, -2, -2)) == direction(MVector(0, -1, -1)) == (0, -1, -1)
+    assert direction(MVector(0, -2, -2)) != direction(MVector(0, 1, 1))
 
 
 def test_x_axis_turns_are_powers_of_the_quarter_turn():
     for catalog in (peres_rays(), penrose_mpairs(), *rescaled_catalogs()):
-        quarter = permutation(X_QUARTER_TURN, catalog)
+        quarter = induced_permutation(X_AXIS_TURNS[90], catalog)
         square = {i: quarter[quarter[i]] for i in quarter}
         cube = {i: quarter[square[i]] for i in quarter}
-        assert permutation(X_AXIS_TURNS[90], catalog) == quarter
-        assert permutation(X_AXIS_TURNS[180], catalog) == square
-        assert permutation(X_AXIS_TURNS[270], catalog) == cube
+        assert induced_permutation(X_AXIS_TURNS[180], catalog) == square
+        assert induced_permutation(X_AXIS_TURNS[270], catalog) == cube
         assert {i: quarter[cube[i]] for i in quarter} == {i: i for i in quarter}
 
 
@@ -343,7 +316,8 @@ def det(m):
 
 
 def test_rotation_constants_are_proper_turns():
-    for m in (ROTATION_111, X_QUARTER_TURN):
+    quarter = X_AXIS_TURNS[90]
+    for m in (ROTATION_111, quarter):
         assert det(m) == 1
         assert matmul(m, tuple(zip(*m))) == IDENTITY  # orthonormal rows
     x, y, z = IDENTITY
@@ -351,12 +325,12 @@ def test_rotation_constants_are_proper_turns():
     assert IDENTITY not in (ROTATION_111, square)
     assert matmul(square, ROTATION_111) == IDENTITY
     assert [apply(ROTATION_111, v) for v in (x, y, z)] == [y, z, x]
-    powers = [X_QUARTER_TURN]
+    powers = [quarter]
     for _ in range(3):
-        powers.append(matmul(powers[-1], X_QUARTER_TURN))
+        powers.append(matmul(powers[-1], quarter))
     assert IDENTITY not in powers[:3] and powers[3] == IDENTITY
-    assert apply(X_QUARTER_TURN, x) == x
-    # the oracle's half and three-quarter turns are the quarter turn's powers
+    assert apply(quarter, x) == x
+    # the half and three-quarter turns are the quarter turn's powers
     assert powers[:3] == [X_AXIS_TURNS[90], X_AXIS_TURNS[180], X_AXIS_TURNS[270]]
 
 

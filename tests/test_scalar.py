@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bks33.catalog import penrose_mpairs, peres_rays
-from bks33.kscolor import verify_symmetry_reduction
+from bks33.kscolor import symmetry_reduction
 from bks33.orthograph import build_graph
 from bks33.scalar import ExactComplex, QRoot2, abs2
 
@@ -253,7 +253,7 @@ def test_exact_hot_path_creates_no_fraction(monkeypatch, entries):
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
     graph = build_graph(catalog)
-    report = verify_symmetry_reduction(catalog, graph)
+    report = symmetry_reduction(graph)
     monkeypatch.undo()
     assert graph.edge_count == 72 and report.passed
     assert created == []
