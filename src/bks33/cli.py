@@ -403,15 +403,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("catalog", "dump one of the three catalogs")
     p.add_argument("--set", choices=("peres", "penrose", "family"), required=True)
-    p.add_argument("--alpha", type=_finite_float, default=0.0)
-    p.add_argument("--beta", type=_finite_float, default=0.0)
-    p.add_argument("--gamma", type=_finite_float, default=0.0)
+    p.add_argument("--alpha", type=_finite_float)
+    p.add_argument("--beta", type=_finite_float)
+    p.add_argument("--gamma", type=_finite_float)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_catalog)
 
     p = add("verify", "check a catalog against the reference diagram")
     p.add_argument("--set", choices=("peres", "penrose", "family"), required=True)
-    p.add_argument("--samples", type=_positive_int, default=50, help="random family samples")
+    p.add_argument("--samples", type=_positive_int, help="random family samples")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=seed_help)
     p.add_argument("--json", action="store_true", help=json_help)
     p.set_defaults(func=cmd_verify)
@@ -442,6 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _PHASE_OPTIONS = ("--alpha", "--beta", "--gamma")
+#: The options only ``--set family`` reads, and their values when not given.
+_FAMILY_OPTIONS = {"catalog": {"alpha": 0.0, "beta": 0.0, "gamma": 0.0}, "verify": {"samples": 50}}
 
 
 def _attach_phase_values(argv: Sequence[str]) -> list[str]:
@@ -458,6 +460,11 @@ def _attach_phase_values(argv: Sequence[str]) -> list[str]:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(_attach_phase_values(sys.argv[1:] if argv is None else argv))
+    for name, default in _FAMILY_OPTIONS.get(args.command, {}).items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.set != "family":  # built anew: no parser stays alive while a command runs
+            build_parser().error(f"argument --{name}: applies to --set family only")
     return args.func(args)
 
 

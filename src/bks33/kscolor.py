@@ -6,17 +6,18 @@ every dyad at most one.  Propagation applies two rules to a fixpoint:
   (i)  a green ray turns every triad-mate and dyad-partner red;
   (ii) a triad with two reds turns its remaining member green.
 
-Rule (i) runs from every new green; then one triad scan in constraint order
-finds the first all-red triad or fires rule (ii) once.  That makes traces
-deterministic and reproduces the documented forcing chain step for step.
+Both engines close in one order, in ``_close``: rule (i) from each new
+green, then rule (ii) on the first triad, in constraint order, with no green
+and at most one free member; with no free member that triad is the conflict.
 
 Inside the engine a partial coloring is two Python-int bitmasks, ``green``
 and ``red``, bit v standing for ray v.  ``search`` decides on mate masks
-alone; ``propagate`` explains, recording each forced step and the witness.
-Both reach the same fixpoint or conflict, as unit propagation does in any
-order.  Outside the engine a partial coloring is its set of green rays and
-its set of red rays, as ``propagate`` takes and returns them; a complete
-coloring is its set of green rays, every other ray being red.
+alone.  ``propagate`` explains: its start greens force their mates red, then
+it records each green ``_close`` fired and the reds that green forces, and
+the all-red triad ``_close`` met.  Outside the engine a partial coloring is
+its set of green rays and its set of red rays, as ``propagate`` takes and
+returns them; a complete coloring is its set of green rays, every other ray
+being red.
 """
 
 from __future__ import annotations
@@ -103,46 +104,20 @@ class Propagation:
     contradiction: Contradiction | None
 
 
-_Step = tuple[int, Color, Constraint]
-
-
-def _fixpoint(
-    cs: ConstraintSet, green: int, red: int, queue: list[int], steps: list[_Step]
-) -> tuple[int, int, tuple[str, Constraint] | None]:
-    """Apply both rules to the masks; return them and any (kind, constraint).
-
-    The greens in ``queue`` force their mates red, in constraint order.
-    Then one triad scan in constraint order returns the first all-red triad
-    as the witness, or else rule (ii) fires the first triad with no green
-    and one free member, and its green drains next.  Forced steps are
-    appended to ``steps``.
-    """
-    constraints, triads = cs.triads + cs.dyads, _compile(cs).triads
-    while True:
-        for ray in queue:
-            for c in constraints:
-                if ray in c:
-                    for m in c:
-                        bit = 1 << m
-                        if m == ray or red & bit:
-                            continue
-                        if green & bit:
-                            return green, red, ("two_greens", c)
-                        red |= bit
-                        steps.append((m, Color.RED, c))
-        fire = None
-        for mask, t in triads:
-            free = mask & ~red  # holds any green, since no green is red
-            if not free:
-                return green, red, ("all_red", t)
-            if fire is None and not mask & green and not free & (free - 1):
-                fire = free, t
-        if fire is None:
-            return green, red, None
-        free, t = fire
-        queue = [free.bit_length() - 1]
-        green |= free
-        steps.append((queue[0], Color.GREEN, t))
+def _walk(constraints: tuple[Constraint, ...], ray: int, green: int, red: int,
+          steps: list[Forced]) -> tuple[int, Constraint | None]:
+    """Rule (i) from the green ``ray``: each mate not yet red, in constraint
+    order, is recorded in ``steps`` and added to the red mask.  Returns that
+    mask and the first constraint found holding a second green, or None."""
+    for c in constraints:
+        if ray in c:
+            for m in c:
+                if m != ray and not red >> m & 1:
+                    if green >> m & 1:
+                        return red, c
+                    red |= 1 << m
+                    steps.append(Forced(m, Color.RED, c))
+    return red, None
 
 
 def propagate(greens: Iterable[int], reds: Iterable[int], cs: ConstraintSet) -> Propagation:
@@ -150,21 +125,33 @@ def propagate(greens: Iterable[int], reds: Iterable[int], cs: ConstraintSet) -> 
 
     A conflict is reported as a witness, not as an exception: an all-red
     triad, or a triad/dyad holding two greens.  A start ray outside
-    ``cs.vertices``, or given both colors, raises ``ValueError``.
+    ``cs.vertices``, or given both colors, raises ``ValueError``.  Steps
+    after the start greens' reds follow ``_close``, the closure of ``search``.
     """
     start_greens, start_reds = frozenset(greens), frozenset(reds)
     if outside := (start_greens | start_reds) - cs.vertices:
         raise ValueError(f"rays not in the diagram: {sorted(outside)}")
     if both := start_greens & start_reds:
         raise ValueError(f"rays given both colors: {sorted(both)}")
-    queue = sorted(start_greens)
-    steps: list[_Step] = []
-    green, red, witness = _fixpoint(cs, sum(1 << r for r in queue),
-                                    sum(1 << r for r in start_reds), queue, steps)
+    constraints, table = cs.triads + cs.dyads, _compile(cs)
+    green, red = sum(1 << r for r in start_greens), sum(1 << r for r in start_reds)
+    steps: list[Forced] = []
+    witness = None
+    for ray in sorted(start_greens):
+        red, clash = _walk(constraints, ray, green, red, steps)
+        if clash is not None:  # only start greens can share a constraint
+            witness = Contradiction("two_greens", clash)
+            break
+    else:
+        green, _, fired, conflict = _close(table, green, red, 0)
+        for ray, t in fired:
+            steps.append(Forced(ray, Color.GREEN, t))
+            red, _ = _walk(constraints, ray, green, red, steps)
+        if conflict is not None:
+            witness = Contradiction("all_red", conflict)
     return Propagation(frozenset(v for v in cs.vertices if green >> v & 1),
                        frozenset(v for v in cs.vertices if red >> v & 1),
-                       tuple([Forced(*step) for step in steps]),
-                       None if witness is None else Contradiction(*witness))
+                       tuple(steps), witness)
 
 
 @dataclass(frozen=True)
@@ -185,33 +172,37 @@ def search(cs: ConstraintSet) -> SearchResult:
     return SearchResult(greens, nodes)
 
 
-def _close(table: _Compiled, green: int, red: int, reds: int) -> tuple[int, int] | None:
-    """Both rules to a fixpoint from one new green whose mates are ``reds``:
-    the green and red masks, or None at an all-red triad.  No mate is green:
-    a new green is never red, and every green's mates are red already."""
+def _close(table: _Compiled, green: int, red: int, reds: int
+           ) -> tuple[int, int, list[tuple[int, Constraint]], Constraint | None]:
+    """Both rules to a fixpoint from new greens whose mates are ``reds``: the
+    green and red masks, each green rule (ii) fired with its triad, and the
+    all-red triad met, or None.  No mate is green: a new green is never red,
+    and every green's mates are red already."""
+    fired: list[tuple[int, Constraint]] = []
     while True:
         red |= reds
-        for mask, _ in table.triads:
+        for mask, t in table.triads:
             if not mask & green:
                 free = mask & ~red
                 if not free & (free - 1):
                     if not free:
-                        return None
+                        return green, red, fired, t
                     green |= free
-                    reds = table.mates[free.bit_length() - 1]
+                    ray = free.bit_length() - 1
+                    fired.append((ray, t))
+                    reds = table.mates[ray]
                     break
         else:
-            return green, red
+            return green, red, fired, None
 
 
 def _descend(table: _Compiled, green: int, red: int, reds: int) -> tuple[int | None, int]:
     """Search below one node: the green mask of a coloring found, or None,
     and the nodes.  ``reds`` are the mates of the node's new green alone, as
     the parent is a fixpoint and the order of propagation does not matter."""
-    closed = _close(table, green, red, reds)
-    if closed is None:
+    green, red, _, conflict = _close(table, green, red, reds)
+    if conflict is not None:
         return None, 1
-    green, red = closed
     done = green | red
     open_triads = [
         ((mask & ~done).bit_count(), t) for mask, t in table.triads if not mask & green

@@ -337,7 +337,7 @@ def test_subcommand_options_are_pinned():
 
 #: The options each subcommand does not read, after the arguments it requires.
 UNREAD_OPTIONS = [
-    (command, option)
+    (command, option, f"unrecognized arguments: {option}")
     for command, options in [
         (["catalog", "--set", "peres"], ["--seed", "--tol", "--json"]),
         (["prove"], ["--seed", "--tol"]),
@@ -347,16 +347,29 @@ UNREAD_OPTIONS = [
     for option in options
 ]
 
+#: The options only ``--set family`` reads, given with the other sets.
+FAMILY_ONLY_OPTIONS = [
+    ([command, "--set", name], option, f"argument {option}: applies to --set family only")
+    for command, options in [("catalog", ["--alpha", "--beta", "--gamma"]), ("verify", ["--samples"])]
+    for name in ("peres", "penrose")
+    for option in options
+]
 
-@pytest.mark.parametrize("command, option", UNREAD_OPTIONS,
-                         ids=[f"{c[0]}{o}" for c, o in UNREAD_OPTIONS])
-def test_options_a_subcommand_does_not_read_exit_2(tmp_path, monkeypatch, capsys, command, option):
+
+@pytest.mark.parametrize("command, option, message", UNREAD_OPTIONS + FAMILY_ONLY_OPTIONS,
+                         ids=[f"{c[0]}{o}" for c, o, _ in UNREAD_OPTIONS]
+                         + [f"{c[0]}-{c[2]}{o}" for c, o, _ in FAMILY_ONLY_OPTIONS])
+def test_options_a_subcommand_does_not_read_exit_2(tmp_path, monkeypatch, capsys, command, option,
+                                                   message):
     monkeypatch.chdir(tmp_path)
-    value = {"--seed": ["1"], "--tol": ["1e-9"], "--json": []}[option]
+    value = {"--seed": ["1"], "--tol": ["1e-9"], "--json": [], "--alpha": ["0.5"],
+             "--beta": ["-1e-3"], "--gamma": ["1"], "--samples": ["7"]}[option]
     with pytest.raises(SystemExit) as exc:
         cli.main([*command, option, *value])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv, message", [

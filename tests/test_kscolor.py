@@ -97,21 +97,36 @@ def test_propagate_two_greens_witness():
     assert set(result.contradiction.constraint) == {10, 24}
 
 
+def test_propagate_fires_the_first_triad_in_constraint_order():
+    # propagate closes as search does: rule (ii) fires the first triad, in
+    # constraint order, with no green and at most one free member, so 18, 26
+    # and 22 turn green before (9, 19, 20) is all red
+    result = propagate({10, 15}, (), FULL)
+    assert result.contradiction == Contradiction("all_red", (9, 19, 20))
+    assert [s.ray for s in result.steps if s.color is Color.GREEN] == [3, 5, 30, 6, 31, 18, 26, 22]
+
+
 def test_forced_steps_are_entailed_by_their_cited_constraint():
-    result = propagate({1, 10, 11}, (), FULL)
-    known: dict[int, Color] = {1: Color.GREEN, 10: Color.GREEN, 11: Color.GREEN}
-    for step in result.steps:
-        members = set(step.constraint)
-        assert step.ray in members
-        others = members - {step.ray}
-        if step.color is Color.RED:
-            # some earlier-known green in the same constraint forces red
-            assert any(known.get(m) is Color.GREEN for m in others)
-        else:
-            # an exactly-one triple with both others red forces green
-            assert step.constraint in FULL.triads
-            assert all(known.get(m) is Color.RED for m in others)
-        known[step.ray] = step.color
+    # every single and pair green start, and the documented choices
+    vertices = sorted(FULL.vertices)
+    starts = [(v,) for v in vertices] + list(combinations(vertices, 2)) + [(1, 10, 11)]
+    for greens in starts:
+        result = propagate(greens, (), FULL)
+        known: dict[int, Color] = dict.fromkeys(greens, Color.GREEN)
+        for step in result.steps:
+            members = set(step.constraint)
+            assert step.ray in members and step.ray not in known, (greens, step)
+            others = members - {step.ray}
+            if step.color is Color.RED:
+                # some earlier-known green in the same constraint forces red
+                assert any(known.get(m) is Color.GREEN for m in others), (greens, step)
+            else:
+                # an exactly-one triple with both others red forces green
+                assert step.constraint in FULL.triads, (greens, step)
+                assert all(known.get(m) is Color.RED for m in others), (greens, step)
+            known[step.ray] = step.color
+        assert {v for v, c in known.items() if c is Color.GREEN} == result.greens, greens
+        assert {v for v, c in known.items() if c is Color.RED} == result.reds, greens
 
 
 def test_replay_trace_contents():
@@ -562,10 +577,9 @@ def search_closure(greens, cs: ConstraintSet):
     for v in greens:
         if red >> v & 1:  # search chooses no red ray: two greens in a constraint
             return None
-        closed = kscolor._close(table, green | 1 << v, red, table.mates[v])
-        if closed is None:
+        green, red, _, conflict = kscolor._close(table, green | 1 << v, red, table.mates[v])
+        if conflict is not None:
             return None
-        green, red = closed
     return ({m for m in cs.vertices if green >> m & 1},
             {m for m in cs.vertices if red >> m & 1})
 
