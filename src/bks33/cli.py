@@ -412,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", "check a catalog against the reference diagram")
     p.add_argument("--set", choices=("peres", "penrose", "family"), required=True)
     p.add_argument("--samples", type=_positive_int, help="random family samples")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=seed_help)
+    p.add_argument("--seed", type=int, help=seed_help)
     p.add_argument("--json", action="store_true", help=json_help)
     p.set_defaults(func=cmd_verify)
 
@@ -443,7 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 _PHASE_OPTIONS = ("--alpha", "--beta", "--gamma")
 #: The options only ``--set family`` reads, and their values when not given.
-_FAMILY_OPTIONS = {"catalog": {"alpha": 0.0, "beta": 0.0, "gamma": 0.0}, "verify": {"samples": 50}}
+_FAMILY_OPTIONS = {
+    "catalog": {"alpha": 0.0, "beta": 0.0, "gamma": 0.0},
+    "verify": {"samples": 50, "seed": DEFAULT_SEED},
+}
 
 
 def _attach_phase_values(argv: Sequence[str]) -> list[str]:

@@ -9,6 +9,7 @@ every dyad at most one.  Propagation applies two rules to a fixpoint:
 Both engines close in one order, in ``_close``: rule (i) from each new
 green, then rule (ii) on the first triad, in constraint order, with no green
 and at most one free member; with no free member that triad is the conflict.
+The scan that fires nothing also picks ``search``'s branch triad.
 
 Inside the engine a partial coloring is two Python-int bitmasks, ``green``
 and ``red``, bit v standing for ray v.  ``search`` decides on mate masks
@@ -46,15 +47,15 @@ Constraint = tuple[int, ...]
 
 
 class _Compiled(NamedTuple):
-    """Per vertex, the mask of its triad-mates and dyad-partners; every
-    triad as (mask, triad), in constraint order."""
+    """Indexed by vertex, the mask of its triad-mates and dyad-partners;
+    every triad as (mask, triad), in constraint order."""
 
-    mates: dict[int, int]
+    mates: list[int]
     triads: tuple[tuple[int, Constraint], ...]
 
 
 def _compile(cs: ConstraintSet) -> _Compiled:
-    mates = dict.fromkeys(cs.vertices, 0)
+    mates = [0] * (max(cs.vertices, default=0) + 1)
     triads = []
     for t in cs.triads:
         a, b, c = t
@@ -143,7 +144,7 @@ def propagate(greens: Iterable[int], reds: Iterable[int], cs: ConstraintSet) -> 
             witness = Contradiction("two_greens", clash)
             break
     else:
-        green, _, fired, conflict = _close(table, green, red, 0)
+        green, _, fired, conflict, _ = _close(table, green, red, 0)
         for ray, t in fired:
             steps.append(Forced(ray, Color.GREEN, t))
             red, _ = _walk(constraints, ray, green, red, steps)
@@ -172,45 +173,52 @@ def search(cs: ConstraintSet) -> SearchResult:
     return SearchResult(greens, nodes)
 
 
-def _close(table: _Compiled, green: int, red: int, reds: int
-           ) -> tuple[int, int, list[tuple[int, Constraint]], Constraint | None]:
+def _close(table: _Compiled, green: int, red: int, reds: int) -> tuple[
+    int, int, list[tuple[int, Constraint]], Constraint | None, Constraint | None
+]:
     """Both rules to a fixpoint from new greens whose mates are ``reds``: the
-    green and red masks, each green rule (ii) fired with its triad, and the
-    all-red triad met, or None.  No mate is green: a new green is never red,
-    and every green's mates are red already."""
+    green and red masks, each green rule (ii) fired with its triad, the
+    all-red triad met, or None, and the branch triad, or None.  No mate is
+    green: a new green is never red, and every green's mates are red already.
+
+    The scan that finds no triad to fire also picks the branch triad, the
+    least (free count, triad) among the triads with no green; it is None at
+    a conflict or once every triad holds a green."""
     fired: list[tuple[int, Constraint]] = []
     while True:
         red |= reds
+        branch, fewest = None, 4  # 4: more than any triad's free count
         for mask, t in table.triads:
             if not mask & green:
                 free = mask & ~red
                 if not free & (free - 1):
                     if not free:
-                        return green, red, fired, t
+                        return green, red, fired, t, None
                     green |= free
                     ray = free.bit_length() - 1
                     fired.append((ray, t))
                     reds = table.mates[ray]
                     break
+                count = free.bit_count()
+                if count < fewest or count == fewest and t < branch:
+                    branch, fewest = t, count
         else:
-            return green, red, fired, None
+            return green, red, fired, None, branch
 
 
 def _descend(table: _Compiled, green: int, red: int, reds: int) -> tuple[int | None, int]:
     """Search below one node: the green mask of a coloring found, or None,
     and the nodes.  ``reds`` are the mates of the node's new green alone, as
-    the parent is a fixpoint and the order of propagation does not matter."""
-    green, red, _, conflict = _close(table, green, red, reds)
+    the parent is a fixpoint and the order of propagation does not matter.
+    One call of ``_close`` closes the node and picks its branch triad."""
+    green, red, _, conflict, branch = _close(table, green, red, reds)
     if conflict is not None:
         return None, 1
-    done = green | red
-    open_triads = [
-        ((mask & ~done).bit_count(), t) for mask, t in table.triads if not mask & green
-    ]
-    if not open_triads:
+    if branch is None:
         return green, 1
+    done = green | red
     nodes = 1
-    for m in min(open_triads)[1]:
+    for m in branch:
         if not done >> m & 1:
             found, below = _descend(table, green | 1 << m, red, table.mates[m])
             nodes += below
@@ -225,10 +233,10 @@ def validate_coloring(greens: frozenset[int], cs: ConstraintSet) -> bool:
     if not greens <= cs.vertices:
         return False
     for t in cs.triads:
-        if sum(1 for m in t if m in greens) != 1:
+        if len(greens.intersection(t)) != 1:
             return False
-    for p in cs.dyads:
-        if sum(1 for m in p if m in greens) > 1:
+    for a, b in cs.dyads:
+        if a in greens and b in greens:
             return False
     return True
 

@@ -40,7 +40,9 @@ class MVector:
     """A nonzero direction in R^3, stored unnormalized.
 
     int components keep the vector on the exact path; any other component
-    puts it on the floating path.  ``is_exact`` is decided on construction.
+    puts it on the floating path.  ``is_exact`` is decided on construction,
+    as is a float vector's ``norm2``; an exact vector's ``norm2`` is
+    computed on first use.
     """
 
     x: RealLike
@@ -49,10 +51,13 @@ class MVector:
     is_exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (self.x or self.y or self.z):
+        x, y, z = self.x, self.y, self.z
+        if not (x or y or z):
             raise ValueError("an M-vector must be nonzero")
-        object.__setattr__(self, "is_exact", isinstance(self.x, int)
-                           and isinstance(self.y, int) and isinstance(self.z, int))
+        exact = isinstance(x, int) and isinstance(y, int) and isinstance(z, int)
+        object.__setattr__(self, "is_exact", exact)
+        if not exact:  # the cached_property's expression, without its lookup
+            object.__setattr__(self, "norm2", x * x + y * y + z * z)
 
     @cached_property
     def norm2(self) -> RealLike:

@@ -88,12 +88,13 @@ def decompose(g: OrthoGraph) -> ConstraintSet:
     """Triads are the triangles; dyads the edges in no triangle.
 
     One pass over the sorted edges classes each edge (u, v) by its common
-    neighbors, an int bitmask with bit w for vertex w: none makes it a
+    neighbors, an int bitmask with bit w for vertex w, read from a list of
+    neighbor masks indexed by vertex: none makes it a
     dyad; one, w, puts it in triad (u, v, w), taken here when w > v; two
     or more raise, since then the exactly-once edge cover would not exist.
     Triads and dyads thus come out sorted.
     """
-    adj = dict.fromkeys(g.vertices, 0)
+    adj = [0] * (max(g.vertices, default=0) + 1)
     for u, v in g.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u

@@ -17,8 +17,9 @@ class Ray:
     Components are stored verbatim (unnormalized); ``index`` is an optional
     1-based catalog label.  A ray is exact when all three components are
     ``ExactComplex`` and float when none is; a ray that mixes the two kinds
-    is rejected.  ``is_exact`` is decided on construction, and ``norm2``
-    and, for an exact ray, ``parts`` on first use, once per ray.
+    is rejected.  ``is_exact`` is decided on construction, as is a float
+    ray's ``norm2``; an exact ray's ``norm2`` and ``parts`` are computed on
+    first use, once per ray.
     """
 
     components: tuple[Scalar, Scalar, Scalar]
@@ -36,6 +37,8 @@ class Ray:
                 or isinstance(c[2], ExactComplex) is not exact):
             raise ValueError("a ray's components must be all exact or all float")
         object.__setattr__(self, "is_exact", exact)
+        if not exact:  # the cached_property's expression, without its lookup
+            object.__setattr__(self, "norm2", abs2(c[0]) + abs2(c[1]) + abs2(c[2]))
 
     @cached_property
     def norm2(self) -> RealScalar:

@@ -350,7 +350,7 @@ UNREAD_OPTIONS = [
 #: The options only ``--set family`` reads, given with the other sets.
 FAMILY_ONLY_OPTIONS = [
     ([command, "--set", name], option, f"argument {option}: applies to --set family only")
-    for command, options in [("catalog", ["--alpha", "--beta", "--gamma"]), ("verify", ["--samples"])]
+    for command, options in [("catalog", ["--alpha", "--beta", "--gamma"]), ("verify", ["--samples", "--seed"])]
     for name in ("peres", "penrose")
     for option in options
 ]

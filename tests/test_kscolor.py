@@ -5,6 +5,8 @@ from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from automorphism_oracle import automorphisms
 from exact_oracle import ROTATION_111, X_AXIS_TURNS, induced_permutation
 
@@ -243,6 +245,50 @@ def test_validate_coloring_rejects_bad_colorings():
     assert validate_coloring(good, cs)
 
 
+def satisfies_definition(greens, cs: ConstraintSet) -> bool:
+    """Every green a vertex, exactly one green per triad, at most one per dyad."""
+    return (
+        all(v in cs.vertices for v in greens)
+        and all(sum(m in greens for m in t) == 1 for t in cs.triads)
+        and all(sum(m in greens for m in d) <= 1 for d in cs.dyads)
+    )
+
+
+#: The diagram and its single deletions, each with the coloring search finds.
+DIAGRAMS = [
+    (cs, search(cs).coloring)
+    for cs in [FULL] + [decompose(reference_graph().delete_vertex(v)) for v in range(1, 34)]
+]
+
+
+@st.composite
+def diagrams_and_greens(draw):
+    """A diagram or one of its single deletions, and a set of greens: any
+    set of rays, or, with up to three rays flipped, the coloring search
+    finds or one green in each triad a random order of the triads leaves
+    room for, blind to the dyads.  Rays 0, 34, 35 and a deleted ray lie
+    outside the diagram."""
+    cs, coloring = draw(st.sampled_from(DIAGRAMS))
+    rays = st.integers(0, 35)
+    kind = draw(st.sampled_from(["any", "coloring", "triads"]))
+    if kind == "any":
+        return cs, draw(st.frozensets(rays))
+    base = set(coloring or ())
+    if kind == "triads":
+        base = set()
+        for t in draw(st.permutations(cs.triads)):
+            room = [m for m in t if all(base.isdisjoint(u) for u in cs.triads if m in u)]
+            if room:
+                base.add(draw(st.sampled_from(room)))
+    return cs, frozenset(base) ^ draw(st.frozensets(rays, max_size=3))
+
+
+@given(diagrams_and_greens())
+def test_validate_coloring_agrees_with_the_definition(drawn):
+    cs, greens = drawn
+    assert validate_coloring(greens, cs) == satisfies_definition(greens, cs)
+
+
 def test_criticality_audit_all_deletions():
     graph = reference_graph()
     audit = criticality_audit(graph)
@@ -475,22 +521,29 @@ def test_search_tree_is_pinned():
     )
 
 
-def test_relabeled_search_trees_are_pinned():
-    """The search tree depends on the ray labels: 64 seeded relabelings of
-    the diagram take between 18 and 46 nodes, every one UNSAT."""
+def relabelings(count: int, seed: int) -> list[ConstraintSet]:
+    """The diagram's constraints under ``count`` seeded relabelings of its rays."""
     graph = reference_graph()
     vertices = sorted(graph.vertices)
-    rng = Random(1)
-    total = 0
-    digest = hashlib.sha256()
-    for i in range(64):
+    rng = Random(seed)
+    out = []
+    for _ in range(count):
         images = list(vertices)
         rng.shuffle(images)
         label = dict(zip(vertices, images))
-        relabeled = OrthoGraph(graph.vertices, frozenset(
+        out.append(decompose(OrthoGraph(graph.vertices, frozenset(
             tuple(sorted((label[u], label[v]))) for u, v in graph.edges
-        ))
-        result = search(decompose(relabeled))
+        ))))
+    return out
+
+
+def test_relabeled_search_trees_are_pinned():
+    """The search tree depends on the ray labels: 64 seeded relabelings of
+    the diagram take between 18 and 46 nodes, every one UNSAT."""
+    total = 0
+    digest = hashlib.sha256()
+    for i, cs in enumerate(relabelings(64, 1)):
+        result = search(cs)
         total += result.nodes
         greens = None if result.coloring is None else sorted(result.coloring)
         digest.update(json.dumps([i, result.nodes, greens]).encode())
@@ -498,6 +551,62 @@ def test_relabeled_search_trees_are_pinned():
     assert digest.hexdigest() == (
         "2fd3309d44fe59508df1028fa822d72bc3f4b426f56f286c553ee5d664146dba"
     )
+
+
+def reference_search(cs: ConstraintSet):
+    """search with its branch triad picked by a second scan of the triads,
+    the least (free count, triad) among those with no green, as ``min``
+    orders them: the green rays found, or None, and the nodes."""
+    table = kscolor._compile(cs)
+
+    def descend(green, red, reds):
+        green, red, _, conflict, _ = kscolor._close(table, green, red, reds)
+        if conflict is not None:
+            return None, 1
+        done = green | red
+        open_triads = [
+            ((mask & ~done).bit_count(), t) for mask, t in table.triads if not mask & green
+        ]
+        if not open_triads:
+            return green, 1
+        nodes = 1
+        for m in min(open_triads)[1]:
+            if not done >> m & 1:
+                found, below = descend(green | 1 << m, red, table.mates[m])
+                nodes += below
+                if found is not None:
+                    return found, nodes
+        return None, nodes
+
+    green, nodes = descend(0, 0, 0)
+    return (None if green is None else frozenset(v for v in cs.vertices if green >> v & 1)), nodes
+
+
+def shuffled(cs: ConstraintSet, rng: Random) -> ConstraintSet:
+    """``cs`` with its triads, and the members of each, in a random order."""
+    triads = [tuple(rng.sample(t, 3)) for t in cs.triads]
+    rng.shuffle(triads)
+    return ConstraintSet(tuple(triads), cs.dyads, cs.vertices)
+
+
+def test_search_branches_on_the_least_open_triad():
+    # _close picks the branch triad in its last scan; a second scan, taking
+    # min over (free count, triad), must give the same trees and colorings
+    graph = reference_graph()
+    instances = [FULL] + [decompose(graph.delete_vertex(v)) for v in range(1, 34)]
+    instances += [
+        decompose(graph.delete_vertex(u).delete_vertex(v))
+        for u, v in combinations(range(1, 34), 2)
+    ]
+    instances += relabelings(64, 1)
+    # triads out of sorted order, so the tie-break between equal free
+    # counts must compare the triads themselves
+    rng = Random(7)
+    unsorted = [shuffled(cs, rng) for cs in instances[:34] for _ in range(4)]
+    assert any(list(cs.triads) != sorted(cs.triads) for cs in unsorted)
+    for cs in instances + unsorted:
+        result = search(cs)
+        assert (result.coloring, result.nodes) == reference_search(cs), cs
 
 
 def test_search_leaves_no_reference_cycle():
@@ -577,7 +686,7 @@ def search_closure(greens, cs: ConstraintSet):
     for v in greens:
         if red >> v & 1:  # search chooses no red ray: two greens in a constraint
             return None
-        green, red, _, conflict = kscolor._close(table, green | 1 << v, red, table.mates[v])
+        green, red, _, conflict, _ = kscolor._close(table, green | 1 << v, red, table.mates[v])
         if conflict is not None:
             return None
     return ({m for m in cs.vertices if green >> m & 1},

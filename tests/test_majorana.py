@@ -212,6 +212,20 @@ def test_int_components_stay_exact_ints():
     assert not MVector(2.0, -3, 0).is_exact
 
 
+def test_float_mvector_norm2_is_set_on_construction():
+    # an exact vector's norm waits for first use; both are x*x + y*y + z*z
+    rng = Random(11)
+    vectors = [v for p in penrose_mpairs() for v in (p.first, p.second)]
+    vectors += [random_mvector(rng) for _ in range(200)]
+    vectors += [MVector(rng.randint(-9, 9), rng.uniform(-9, 9), 1) for _ in range(50)]
+    vectors += [mpair_from_state(state_from_mpair(MPair(PLUS_X, PLUS_Z))).first]
+    assert any(v.is_exact for v in vectors) and not all(v.is_exact for v in vectors)
+    for v in vectors:
+        assert ("norm2" in vars(v)) is not v.is_exact
+        # repr tells int from float and pins every bit of a float
+        assert repr(v.norm2) == repr(v.x * v.x + v.y * v.y + v.z * v.z)
+
+
 # unit directions with norm2 1 and 2, the two norms of the catalog
 BASE_DIRECTIONS = ((1, 0, 0), (0, -1, 0), (1, 1, 0), (0, 1, -1), (-1, 0, 1))
 

@@ -111,6 +111,61 @@ def test_norm2_positive():
         assert ray.norm2.sign() > 0
 
 
+float_components = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@given(st.tuples(float_components, float_components, float_components).filter(any))
+def test_float_norm2_is_set_on_construction(c):
+    ray = Ray(c)
+    assert "norm2" in vars(ray)
+    assert repr(ray.norm2) == repr(abs2(c[0]) + abs2(c[1]) + abs2(c[2]))
+
+
+def test_float_norm2_of_family_rays_is_the_documented_expression():
+    rng = Random(3)
+    for _ in range(8):
+        params = FamilyParams(*(rng.uniform(0.0, 2.0 * math.pi) for _ in range(3)))
+        for ray in family_rays(params):
+            c = ray.components
+            assert "norm2" in vars(ray)
+            assert repr(ray.norm2) == repr(abs2(c[0]) + abs2(c[1]) + abs2(c[2]))
+
+
+#: The arithmetic methods of the exact scalars.
+EXACT_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
+    "__truediv__",
+)
+
+
+def test_exact_ray_construction_runs_no_exact_arithmetic(monkeypatch):
+    # an exact ray's norm waits for first use, so exact-path workloads that
+    # never read it do not pay for it
+    components = [ray.components for ray in peres_rays()]
+    calls = []
+
+    def counting(name, original):
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+        return counted
+
+    for cls in (QRoot2, ExactComplex):
+        for name in EXACT_ARITHMETIC:
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, counting(name, vars(cls)[name]))
+    built = [Ray(c) for c in components]
+    monkeypatch.undo()
+    assert calls == []
+    assert not any("norm2" in vars(ray) for ray in built)
+    for ray in built:
+        c = ray.components
+        assert ray.norm2 == abs2(c[0]) + abs2(c[1]) + abs2(c[2])
+
+
 def test_mixed_components_rejected():
     with pytest.raises(ValueError, match="all exact or all float"):
         Ray((ExactComplex(1), 1j, 0j))
