@@ -19,6 +19,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import add
 
 from .majorana import MPair, MVector, mpair_from_state
 from .rays import Ray
@@ -249,22 +251,21 @@ RECOVERY_ROTATION: tuple[tuple[ExactComplex, ...], ...] = tuple(
     tuple(_EXACT_ENTRIES[n] / _EXACT_ENTRIES[2] for n in row)
     for row in ((1, 1, 0), (0, 0, 2), (-1, 1, 0))
 )
+#: Each row's nonzero entries as (column, entry): 5 of the 9.
+_RECOVERY_TERMS = tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in RECOVERY_ROTATION)
 
 
 def penrose_from_family() -> list[Ray]:
     """Family rays at the complex special point, in the M-extraction basis.
 
-    Feeding these through Majorana root extraction reproduces the catalog
-    M-vector pairs.
+    Each rotated component sums only its row's nonzero terms, which in exact
+    arithmetic is the full row times the ray.  Feeding these through
+    Majorana root extraction reproduces the catalog M-vector pairs.
     """
-    base = family_rays(FamilyParams.penrose_point())
     out = []
-    for ray in base:
+    for ray in family_rays(FamilyParams.penrose_point()):
         v = ray.components
-        rotated = tuple(
-            row[0] * v[0] + row[1] * v[1] + row[2] * v[2]
-            for row in RECOVERY_ROTATION
-        )
+        rotated = tuple(reduce(add, [c * v[k] for k, c in terms]) for terms in _RECOVERY_TERMS)
         out.append(Ray(rotated, index=ray.index))
     return out
 

@@ -7,7 +7,10 @@ term as the formulas read:
 * ``inner``: the Hermitian inner product summed in ``ExactComplex``;
 * ``unit_dot``: the cosine of two integer M-vectors, d / sqrt(N) with d the
   integer dot and N the integer norm product, whose root is taken in
-  Q(sqrt2); ``closed_form``: the Majorana closed form over six of them.
+  Q(sqrt2); ``closed_form``: the Majorana closed form over six of them;
+* ``apply``: a 3x3 matrix times a column, every entry multiplied in, zeros
+  too: the recovery's basis change ``catalog.RECOVERY_ROTATION`` in full,
+  and the turns below applied to rays and M-vectors.
 
 It also holds the geometry behind the proof's two written-out diagram
 automorphisms, ``kscolor.SIGMA`` and ``kscolor.TAU``:
@@ -62,14 +65,15 @@ def _entry_key(entry: Ray | MPair) -> tuple:
     return key(entry)
 
 
-def _apply(m: tuple[tuple[int, int, int], ...], v: tuple) -> tuple:
+def apply(m: tuple[tuple, ...], v: tuple) -> tuple:
+    """The matrix m times the column v, every entry multiplied in, zeros too."""
     return tuple(v[0] * row[0] + v[1] * row[1] + v[2] * row[2] for row in m)
 
 
 def _rotated(m: tuple[tuple[int, int, int], ...], entry: Ray | MPair) -> Ray | MPair:
     if isinstance(entry, MPair):
-        return MPair(*(MVector(*_apply(m, (v.x, v.y, v.z))) for v in (entry.first, entry.second)))
-    return Ray(_apply(m, entry.components))
+        return MPair(*(MVector(*apply(m, (v.x, v.y, v.z))) for v in (entry.first, entry.second)))
+    return Ray(apply(m, entry.components))
 
 
 def induced_permutation(m: tuple[tuple[int, int, int], ...],

@@ -270,6 +270,29 @@ def test_recovery_rotation_is_unitary():
             assert product == (1 if j == k else 0)
 
 
+def test_recovery_basis_change_multiplies_only_nonzero_entries(monkeypatch):
+    # 5 of RECOVERY_ROTATION's 9 entries are nonzero, so the basis change
+    # makes at most 5 products per ray, and its sums equal the full product
+    calls = []
+    original = ExactComplex.__mul__
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(ExactComplex, "__mul__", counting)
+    monkeypatch.setattr(ExactComplex, "__rmul__", counting)
+    base = family_rays(FamilyParams.penrose_point())
+    own = len(calls)
+    rotated = penrose_from_family()
+    monkeypatch.undo()
+    assert len(calls) - 2 * own <= 5 * 33
+    assert [r.index for r in rotated] == [r.index for r in base]
+    assert [r.components for r in rotated] == [
+        oracle.apply(RECOVERY_ROTATION, r.components) for r in base
+    ]
+
+
 def test_rotated_family_rays_are_exact():
     for ray in penrose_from_family():
         assert ray.is_exact

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 from dimacs_oracle import clause_satisfied, dpll, parse_dimacs
@@ -413,6 +414,37 @@ def test_reports_are_deterministic_and_round_trip(capsys):
     parsed = json.loads(first)
     assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == first
     assert parsed["schema_version"] == 1
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    # the first main builds the parser; later ones, exit 2 included, build
+    # none and print what a freshly built parser prints
+    golden = Path(__file__).resolve().parent / "golden"
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    assert cli.main(["verify", "--set", "peres", "--json"]) == 0
+    assert capsys.readouterr().out.encode() == (golden / "verify-peres.json").read_bytes()
+    first = len(built)
+    assert first > 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--set", "peres", "--seed", "7"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert cli.main(["prove", "--json"]) == 0
+    assert capsys.readouterr().out.encode() == (golden / "prove.json").read_bytes()
+    assert len(built) == first
+    monkeypatch.undo()
+    with pytest.raises(SystemExit):
+        cli.build_parser().error("argument --seed: applies to --set family only")
+    assert capsys.readouterr().err == captured.err
 
 
 def test_exit_status_reflects_failures(capsys):
