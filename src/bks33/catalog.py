@@ -19,8 +19,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from operator import add
 
 from .majorana import MPair, MVector, mpair_from_state
 from .rays import Ray
@@ -251,22 +249,21 @@ RECOVERY_ROTATION: tuple[tuple[ExactComplex, ...], ...] = tuple(
     tuple(_EXACT_ENTRIES[n] / _EXACT_ENTRIES[2] for n in row)
     for row in ((1, 1, 0), (0, 0, 2), (-1, 1, 0))
 )
-#: Each row's nonzero entries as (column, entry): 5 of the 9.
-_RECOVERY_TERMS = tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in RECOVERY_ROTATION)
 
 
 def penrose_from_family() -> list[Ray]:
     """Family rays at the complex special point, in the M-extraction basis.
 
-    Each rotated component sums only its row's nonzero terms, which in exact
-    arithmetic is the full row times the ray.  Feeding these through
-    Majorana root extraction reproduces the catalog M-vector pairs.
+    ``RECOVERY_ROTATION`` times v is (s * (v0 + v1), v2, s * (v1 - v0)) with
+    s = 1/sqrt2, its first entry: sums first, then two products per ray, the
+    full product in exact arithmetic.  Feeding these through Majorana root
+    extraction reproduces the catalog M-vector pairs.
     """
+    s = RECOVERY_ROTATION[0][0]
     out = []
     for ray in family_rays(FamilyParams.penrose_point()):
-        v = ray.components
-        rotated = tuple(reduce(add, [c * v[k] for k, c in terms]) for terms in _RECOVERY_TERMS)
-        out.append(Ray(rotated, index=ray.index))
+        v0, v1, v2 = ray.components
+        out.append(Ray((s * (v0 + v1), v2, s * (v1 - v0)), index=ray.index))
     return out
 
 

@@ -23,12 +23,12 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from random import Random
 from typing import Iterator, Sequence, Union
 
 from .rays import Ray, overlap2
-from .scalar import DEFAULT_TOL, QRoot2, RealScalar
+from .scalar import DEFAULT_TOL, QRoot2, RealScalar, qroot2_sign
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -99,10 +99,13 @@ class MPair:
     def orthogonal_pairs(cls, pairs: Sequence[MPair]) -> list[tuple[int, int]]:
         """Every orthogonal pair (i, j), i < j, of 1-based positions in ``pairs``.
 
-        Exact pairs: the numerator X of the closed form is tested for 0, in
-        one loop over integers (``_closed_form_ints``).  Float pairs:
-        ``overlap2_closed_form < DEFAULT_TOL**2``.  Pairs of both kinds raise
-        ValueError, as does an exact norm product outside Q(sqrt2).
+        Exact pairs: the numerator X of the closed form is tested for 0 on
+        the vectors of ``_closed_form_rows``, its rational part X0 first and
+        the sqrt2 part X1 only where X0 = 0; a loop of its own, since all
+        four parts from ``_closed_form_ints`` cost half as much again.
+        Float pairs: ``overlap2_closed_form < DEFAULT_TOL**2``.  Pairs of
+        both kinds raise ValueError, as does an exact norm product outside
+        Q(sqrt2).
         """
         kinds = {p.is_exact for p in pairs}
         if len(kinds) > 1:
@@ -113,7 +116,20 @@ class MPair:
                 (i, j) for (i, a), (j, b) in combinations(enumerate(pairs, start=1), 2)
                 if overlap2_closed_form(a, b) < tol2
             ]
-        return [(i, j) for i, j, x0, x1, _, _ in _closed_form_ints(pairs) if not (x0 or x1)]
+        lefts, rights = _closed_form_rows(pairs)
+        out = []
+        for i, (x0, x1, _, _) in enumerate(lefts, start=1):
+            (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14) = x0
+            b0, b1, b2, b3, b4, b5, b6, b7, b8 = x1
+            for j, (r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12, r13,
+                    r14) in enumerate(rights[i:], start=i + 1):
+                if not (a0 * r0 + a1 * r1 + a2 * r2 + a3 * r3 + a4 * r4 + a5 * r5 + a6 * r6
+                        + a7 * r7 + a8 * r8 + a9 * r9 + a10 * r10 + a11 * r11 + a12 * r12
+                        + a13 * r13 + a14 * r14) and not (
+                        b0 * r0 + b1 * r1 + b2 * r2 + b3 * r3 + b4 * r4 + b5 * r5 + b6 * r6
+                        + b7 * r7 + b8 * r8):
+                    out.append((i, j))
+        return out
 
 
 def spinor_from_direction(v: MVector) -> tuple[complex, complex]:
@@ -177,43 +193,82 @@ def mpair_from_state(s: Ray) -> MPair:
     return MPair(_direction(r1), _direction(r2))
 
 
+def _closed_form_rows(
+    pairs: Sequence[MPair],
+) -> tuple[list[tuple[tuple[int, ...], ...]], list[tuple[int, ...]]]:
+    """The left vectors (X0, X1, Y0, Y1) and the right vector of each exact
+    pair, as int tuples in two lists: pairs i < j have X0 = X0_i . right_j,
+    and so on (see ``_closed_form_ints``).
+
+    With n0 the norm of ``pairs[0].first``, each M-vector u gets
+    rho_u = sqrt(n_u * n0) in Z[sqrt2], taken once per distinct norm;
+    ValueError for one outside Q(sqrt2).  All products n_u * n_v are of the
+    form s^2 or 2*s^2 exactly when all n_u * n0 are.  A pair a = (a1, a2)
+    has rho_a = rho_a1 * rho_a2 = w + v*sqrt2, d = a1.a2, the vector
+    S = a1*rho_a2 + a2*rho_a1 = Sw + Sv*sqrt2 and Sym = a1 a2^T + a2 a1^T;
+    its right vector is (w, v, d, Sw, Sv, diag Sym / 2, upper Sym), 15 ints,
+    and its left vectors weigh those of another pair by 15, 9, 3 and 3 ints.
+    """
+    if not pairs:
+        return [], []
+    n0 = pairs[0].first.norm2
+    roots = {n: _root(n * n0) for n in {v.norm2 for p in pairs for v in (p.first, p.second)}}
+    k2, k4, m2, m4 = 2 * n0, 4 * n0, 2 * n0 * n0, 4 * n0 * n0
+    lefts, rights = [], []
+    for p in pairs:
+        a, b = p.first, p.second
+        (w1, v1), (w2, v2) = roots[a.norm2], roots[b.norm2]
+        x1, y1, z1, x2, y2, z2 = a.x, a.y, a.z, b.x, b.y, b.z
+        w, v, d = w1 * w2 + 2 * v1 * v2, w1 * v2 + v1 * w2, x1 * x2 + y1 * y2 + z1 * z2
+        s0, s1, s2 = x1 * w2 + x2 * w1, y1 * w2 + y2 * w1, z1 * w2 + z2 * w1
+        t0, t1, t2 = x1 * v2 + x2 * v1, y1 * v2 + y2 * v1, z1 * v2 + z2 * v1
+        # Sym's diagonal halved, so its weight in Sym:Sym is 4, as the upper's is 2
+        g0, g1, g2 = x1 * x2, y1 * y2, z1 * z2
+        h0, h1, h2 = x1 * y2 + y1 * x2, x1 * z2 + z1 * x2, y1 * z2 + z1 * y2
+        e = 3 * w + n0 * d
+        lefts.append((
+            (e, 6 * v, n0 * w - n0 * n0 * d, k2 * s0, k2 * s1, k2 * s2, k4 * t0, k4 * t1, k4 * t2,
+             m4 * g0, m4 * g1, m4 * g2, m2 * h0, m2 * h1, m2 * h2),
+            (3 * v, e, n0 * v, k2 * t0, k2 * t1, k2 * t2, k2 * s0, k2 * s1, k2 * s2),
+            (3 * e, 18 * v, 3 * n0 * w + n0 * n0 * d),
+            (9 * v, 3 * e, 3 * n0 * v),
+        ))
+        rights.append((w, v, d, s0, s1, s2, t0, t1, t2, g0, g1, g2, h0, h1, h2))
+    return lefts, rights
+
+
 def _closed_form_ints(pairs: Sequence[MPair]) -> Iterator[tuple[int, ...]]:
     """(i, j, X0, X1, Y0, Y1) for each i < j of 1-based positions in the
     exact ``pairs``: the closed form of pairs i and j is X / Y, with
-    X = X0 + X1*sqrt2 and Y = Y0 + Y1*sqrt2 (see ``overlap2_closed_form``).
+    X = X0 + X1*sqrt2 and Y = Y0 + Y1*sqrt2 (see ``overlap2_closed_form``),
+    each part one integer dot product of the vectors of ``_closed_form_rows``.
 
-    Each pair is unpacked once, and the square root of each product of two
-    of the distinct M-vector norms is taken once per call; ValueError for one
-    outside Q(sqrt2).  Every such product is needed once there are two pairs.
+    X and Y are n0^2 times the closed form's numerator and denominator
+    multiplied by R = sqrt(|a1|^2 |a2|^2 |b1|^2 |b2|^2), n0 the norm of
+    ``pairs[0].first``, so with rho_a, d_a, S_a and Sym_a as there
+
+        n0^2 X = 3 rho_a rho_b + n0 (d_a rho_b + d_b rho_a) - n0^2 d_a d_b
+                 + 2 n0 S_a.S_b + n0^2 Sym_a:Sym_b
+        n0^2 Y = 9 rho_a rho_b + 3 n0 (d_a rho_b + d_b rho_a) + n0^2 d_a d_b
+
+    by two identities: (t11 + t22 + t12 + t21) R = S_a.S_b / n0 and
+    2 (d11 d22 + d12 d21) = Sym_a:Sym_b.  The factor n0^2 > 0 changes
+    neither the zero test, nor a sign, nor the quotient X / Y.
     """
-    norms = {v.norm2 for p in pairs for v in (p.first, p.second)}
-    roots = {n * m: _root(n * m) for n, m in combinations_with_replacement(norms, 2)}
-    rows = []
-    for p in pairs:
-        a, b = p.first, p.second
-        wa, va = roots[a.norm2 * b.norm2]
-        rows.append((a.x, a.y, a.z, b.x, b.y, b.z, a.norm2, b.norm2, a.dot(b), wa, va))
-    for i, (x1, y1, z1, x2, y2, z2, n1, n2, da, wa, va) in enumerate(rows, start=1):
-        for j in range(i, len(rows)):
-            X1, Y1, Z1, X2, Y2, Z2, m1, m2, db, wb, vb = rows[j]
-            d11, d12 = x1 * X1 + y1 * Y1 + z1 * Z1, x1 * X2 + y1 * Y2 + z1 * Z2
-            d21, d22 = x2 * X1 + y2 * Y1 + z2 * Z1, x2 * X2 + y2 * Y2 + z2 * Z2
-            # (wxy + vxy*sqrt2)^2 = |ax|^2 |by|^2, and t11 * R = d11 * (w22 + v22*sqrt2)
-            w11, v11 = roots[n1 * m1]
-            w12, v12 = roots[n1 * m2]
-            w21, v21 = roots[n2 * m1]
-            w22, v22 = roots[n2 * m2]
-            r0, r1 = wa * wb + 2 * va * vb, wa * vb + va * wb
-            # (t11 + t22 + t12 + t21) * R
-            cross0 = d11 * w22 + d22 * w11 + d12 * w21 + d21 * w12
-            cross1 = d11 * v22 + d22 * v11 + d12 * v21 + d21 * v12
-            # (ta + tb) * R
-            side0, side1 = da * wb + db * wa, da * vb + db * va
+    lefts, rights = _closed_form_rows(pairs)
+    for i, (x0, x1, y0, y1) in enumerate(lefts, start=1):
+        (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14) = x0
+        (b0, b1, b2, b3, b4, b5, b6, b7, b8), (c0, c1, c2), (d0, d1, d2) = x1, y0, y1
+        for j, (r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12, r13,
+                r14) in enumerate(rights[i:], start=i + 1):
             yield (
-                i, j + 1,
-                3 * r0 + 2 * cross0 + side0 + 2 * (d11 * d22 + d12 * d21) - da * db,
-                3 * r1 + 2 * cross1 + side1,
-                9 * r0 + 3 * side0 + da * db, 9 * r1 + 3 * side1,
+                i, j,
+                a0 * r0 + a1 * r1 + a2 * r2 + a3 * r3 + a4 * r4 + a5 * r5 + a6 * r6
+                + a7 * r7 + a8 * r8 + a9 * r9 + a10 * r10 + a11 * r11 + a12 * r12
+                + a13 * r13 + a14 * r14,
+                b0 * r0 + b1 * r1 + b2 * r2 + b3 * r3 + b4 * r4 + b5 * r5 + b6 * r6
+                + b7 * r7 + b8 * r8,
+                c0 * r0 + c1 * r1 + c2 * r2, d0 * r0 + d1 * r1 + d2 * r2,
             )
 
 
@@ -226,7 +281,7 @@ def catalog_sweep(pairs: Sequence[MPair]) -> tuple[list[tuple[int, int]], bool]:
     for i, j, x0, x1, y0, y1 in _closed_form_ints(pairs):
         if not (x0 or x1):
             zeros.append((i, j))
-        elif QRoot2(x0, x1).sign() != QRoot2(y0, y1).sign():
+        elif qroot2_sign(x0, x1) != qroot2_sign(y0, y1):
             positive = False
     return zeros, positive
 
@@ -248,10 +303,14 @@ def overlap2_closed_form(pa: MPair, pb: MPair) -> RealScalar:
 
     On exact pairs, with integer dots d and norms n, each unit dot is
     d / sqrt(n_u * n_v), and numerator and denominator are multiplied by
-    R = sqrt(|a1|^2 |a2|^2 |b1|^2 |b2|^2).  That leaves X / Y with X and Y
-    in Z[sqrt2], built from ints and the square roots of the six norm
-    products, which must each be of the form s^2 or 2*s^2 (ValueError
-    otherwise); the pair is orthogonal iff X = 0.
+    R = sqrt(|a1|^2 |a2|^2 |b1|^2 |b2|^2) and by n0^2, n0 = |a1|^2.  That
+    leaves X / Y with X and Y in Z[sqrt2], each part one integer dot
+    product (``_closed_form_ints``) by the identities
+    (t11 + t22 + t12 + t21) R = S_a.S_b / n0, with S_a = a1 sqrt(n_a2 n0)
+    + a2 sqrt(n_a1 n0), and 2 (d11 d22 + d12 d21) = Sym_a:Sym_b, with
+    Sym_a = a1 a2^T + a2 a1^T.  Each norm product n_u * n_v must be of the
+    form s^2 or 2*s^2 (ValueError otherwise); the pair is orthogonal iff
+    X = 0, and the factor n0^2 > 0 leaves the quotient as it is.
     """
     exact = pa.is_exact
     if exact is not pb.is_exact:

@@ -19,6 +19,18 @@ _SQRT2 = math.sqrt(2.0)
 _new = object.__new__
 
 
+def qroot2_sign(p: int, q: int) -> int:
+    """Exact sign of p + q*sqrt(2) for ints p and q."""
+    if p >= 0 and q >= 0:
+        return 1 if p or q else 0
+    if p <= 0 and q <= 0:
+        return -1
+    # mixed signs: the dominant term decides, p*p never equals 2*q*q here
+    if p * p > 2 * q * q:
+        return 1 if p > 0 else -1
+    return 1 if q > 0 else -1
+
+
 def _qroot2(p: int, q: int, den: int) -> QRoot2:
     """(p + q*sqrt2)/den for ints with den != 0, reduced to the canonical triple."""
     if den != 1:
@@ -116,15 +128,7 @@ class QRoot2:
 
     def sign(self) -> int:
         """Exact sign of the real value (p + q*sqrt(2))/den; den > 0."""
-        p, q = self._p, self._q
-        if p >= 0 and q >= 0:
-            return 1 if p or q else 0
-        if p <= 0 and q <= 0:
-            return -1
-        # mixed signs: the dominant term decides, p*p never equals 2*q*q here
-        if p * p > 2 * q * q:
-            return 1 if p > 0 else -1
-        return 1 if q > 0 else -1
+        return qroot2_sign(self._p, self._q)
 
     def __lt__(self, other: object) -> bool:
         return (self - other).sign() < 0

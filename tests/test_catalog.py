@@ -271,8 +271,8 @@ def test_recovery_rotation_is_unitary():
 
 
 def test_recovery_basis_change_multiplies_only_nonzero_entries(monkeypatch):
-    # 5 of RECOVERY_ROTATION's 9 entries are nonzero, so the basis change
-    # makes at most 5 products per ray, and its sums equal the full product
+    # the basis change sums before it scales: v0 + v1 and v1 - v0 by 1/sqrt2,
+    # 2 products per ray, and its components equal the full 3x3 product
     calls = []
     original = ExactComplex.__mul__
 
@@ -286,7 +286,7 @@ def test_recovery_basis_change_multiplies_only_nonzero_entries(monkeypatch):
     own = len(calls)
     rotated = penrose_from_family()
     monkeypatch.undo()
-    assert len(calls) - 2 * own <= 5 * 33
+    assert len(calls) - 2 * own <= 2 * 33
     assert [r.index for r in rotated] == [r.index for r in base]
     assert [r.components for r in rotated] == [
         oracle.apply(RECOVERY_ROTATION, r.components) for r in base

@@ -1,8 +1,10 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import exact_oracle as oracle
 from bks33.catalog import penrose_from_family, penrose_mpairs
@@ -130,6 +132,51 @@ def test_catalog_sweep_flags_a_pair_that_is_not_positive(monkeypatch):
     assert catalog_sweep([]) == ([(1, 2)], False)
     monkeypatch.setattr(majorana, "_closed_form_ints", lambda pairs: iter(rows[::2]))
     assert catalog_sweep([]) == ([(1, 2)], True)
+
+
+#: Integer directions by norm class: within a class every norm product, after
+#: rescaling, is s^2 or 2*s^2; across the classes none is.
+NORM_CLASSES = {
+    norms: [v for v in product(range(-2, 3), repeat=3) if sum(c * c for c in v) in norms]
+    for norms in ((1, 2), (3, 6))
+}
+
+
+def class_mvectors(norms):
+    return st.builds(lambda v, sign, k: MVector(*(sign * k * c for c in v)),
+                     st.sampled_from(NORM_CLASSES[norms]), st.sampled_from((-1, 1)),
+                     st.integers(1, 7))
+
+
+def class_catalogs(norms):
+    pair = st.builds(MPair, class_mvectors(norms), class_mvectors(norms))
+    return st.lists(pair, min_size=2, max_size=6)
+
+
+@given(st.sampled_from(sorted(NORM_CLASSES)).flatmap(class_catalogs))
+def test_integer_kernels_match_the_generic_closed_form(pairs):
+    values = {(i, j): oracle.closed_form(a, b)
+              for (i, a), (j, b) in combinations(enumerate(pairs, start=1), 2)}
+    zeros = [ij for ij, value in values.items() if value == 0]
+    assert MPair.orthogonal_pairs(pairs) == zeros
+    assert catalog_sweep(pairs) == (zeros, all(value > 0 for value in values.values() if value))
+    for (i, j), value in values.items():
+        assert overlap2_closed_form(pairs[i - 1], pairs[j - 1]) == value
+
+
+@given(class_catalogs((1, 2)), class_mvectors((3, 6)), class_mvectors((1, 2)), st.data())
+def test_integer_kernels_reject_a_catalog_mixing_norm_classes(pairs, u, v, data):
+    # |u|^2 |v|^2 is 3, 6 or 12 times a square, so sqrt of it is not in Q(sqrt2)
+    mixed = list(pairs)
+    mixed.insert(data.draw(st.integers(0, len(pairs))), MPair(u, v))
+    for kernel in (MPair.orthogonal_pairs, catalog_sweep):
+        with pytest.raises(ValueError):
+            kernel(mixed)
+
+
+def test_integer_kernels_take_an_empty_catalog():
+    assert MPair.orthogonal_pairs([]) == []
+    assert catalog_sweep([]) == ([], True)
 
 
 def test_closed_form_cross_validates_against_states():
